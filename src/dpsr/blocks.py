@@ -5,8 +5,6 @@ accept either one line (W, channels) or a whole stack of lines
 (H, W, channels); the line axis is always -2 and channels are last.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -16,18 +14,51 @@ from .tensor import Tensor
 LN_EPS = 1e-6
 
 
-def _uniform(rng, shape, fan_in, dtype):
+def uniform(fan_in):
+    """Init rule: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
 
 
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zero(rng, shape):
+    """Init rule: all zeros (draws nothing from the RNG)."""
+    return np.zeros(shape)
 
 
-def _ones(shape, dtype):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def one(rng, shape):
+    """Init rule: all ones (draws nothing from the RNG)."""
+    return np.ones(shape)
+
+
+class ParamSet:
+    """Parameter tensors of one block, declared once by `spec`.
+
+    `spec(*dims)` lists (name, shape, init rule) in the frozen DPSRW001
+    serialization order. Seeded construction, zero construction and
+    `named_tensors` are all derived from it; seeded construction draws from
+    the RNG in declaration order, so the order fixes the seeded weights.
+    Each tensor is an attribute named as declared.
+    """
+
+    def __init__(self, dims, make):
+        self.dims = tuple(dims)
+        for name, shape, rule in self.spec(*dims):
+            setattr(self, name, make(shape, rule))
+
+    @classmethod
+    def init(cls, *dims_then_rng, dtype=np.float32):
+        """Seeded parameters: `init(*dims, rng)`."""
+        *dims, rng = dims_then_rng
+        return cls(dims, lambda shape, rule: Tensor(rule(rng, shape).astype(dtype),
+                                                    requires_grad=True))
+
+    @classmethod
+    def zeros(cls, *dims, dtype=np.float32):
+        return cls(dims, lambda shape, rule: Tensor(np.zeros(shape, dtype=dtype),
+                                                    requires_grad=True))
+
+    def named_tensors(self, prefix=""):
+        return [(prefix + n, getattr(self, n)) for n, _, _ in self.spec(*self.dims)]
 
 
 def attention_hidden(features, reduction):
@@ -35,51 +66,25 @@ def attention_hidden(features, reduction):
     return max(1, features // reduction)
 
 
-@dataclass
-class SfeParams:
-    """Shallow feature extraction: conv3 C->F, layer norm, SiLU, channel attention."""
+class SfeParams(ParamSet):
+    """Shallow feature extraction: conv3 C->F, layer norm, SiLU, channel attention.
 
-    conv_w: Tensor   # (F, C, 3)
-    conv_b: Tensor   # (F,)
-    ln_gamma: Tensor
-    ln_beta: Tensor
-    att_w1: Tensor   # (hidden, F) shared MLP, avg and max descriptors
-    att_b1: Tensor
-    att_w2: Tensor   # (F, hidden)
-    att_b2: Tensor
+    Dims: (bands, features, reduction).
+    """
 
-    @classmethod
-    def init(cls, bands, features, reduction, rng, dtype=np.float32):
-        hidden = attention_hidden(features, reduction)
-        return cls(
-            conv_w=_uniform(rng, (features, bands, 3), bands * 3, dtype),
-            conv_b=_zeros((features,), dtype),
-            ln_gamma=_ones((features,), dtype),
-            ln_beta=_zeros((features,), dtype),
-            att_w1=_uniform(rng, (hidden, features), features, dtype),
-            att_b1=_zeros((hidden,), dtype),
-            att_w2=_uniform(rng, (features, hidden), hidden, dtype),
-            att_b2=_zeros((features,), dtype),
-        )
-
-    @classmethod
-    def zeros(cls, bands, features, reduction, dtype=np.float32):
-        hidden = attention_hidden(features, reduction)
-        return cls(
-            conv_w=_zeros((features, bands, 3), dtype),
-            conv_b=_zeros((features,), dtype),
-            ln_gamma=_zeros((features,), dtype),
-            ln_beta=_zeros((features,), dtype),
-            att_w1=_zeros((hidden, features), dtype),
-            att_b1=_zeros((hidden,), dtype),
-            att_w2=_zeros((features, hidden), dtype),
-            att_b2=_zeros((features,), dtype),
-        )
-
-    def named_tensors(self, prefix=""):
-        return [(prefix + n, getattr(self, n)) for n in
-                ("conv_w", "conv_b", "ln_gamma", "ln_beta",
-                 "att_w1", "att_b1", "att_w2", "att_b2")]
+    @staticmethod
+    def spec(bands, features, reduction):
+        f, hidden = features, attention_hidden(features, reduction)
+        return [
+            ("conv_w", (f, bands, 3), uniform(bands * 3)),
+            ("conv_b", (f,), zero),
+            ("ln_gamma", (f,), one),
+            ("ln_beta", (f,), zero),
+            ("att_w1", (hidden, f), uniform(f)),   # shared MLP, avg and max descriptors
+            ("att_b1", (hidden,), zero),
+            ("att_w2", (f, hidden), uniform(hidden)),
+            ("att_b2", (f,), zero),
+        ]
 
 
 def _attention_mlp(pooled, p):
@@ -100,60 +105,25 @@ def sfe_forward(x, p):
     return T.mul(h, att)
 
 
-@dataclass
-class NafParams:
-    """Two residual sub-blocks: gated separable-conv mixer, then a gated MLP."""
+class NafParams(ParamSet):
+    """Two residual sub-blocks: gated separable-conv mixer, then a gated MLP.
 
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    pw1_w: Tensor    # (2F, F)
-    pw1_b: Tensor
-    dw_w: Tensor     # (2F, 3) depthwise across-track
-    dw_b: Tensor
-    sca_w: Tensor    # (F, F) pointwise on the mean-pooled descriptor
-    sca_b: Tensor
-    pw2_w: Tensor    # (F, F)
-    pw2_b: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    ffn1_w: Tensor   # (2F, F)
-    ffn1_b: Tensor
-    ffn2_w: Tensor   # (F, F)
-    ffn2_b: Tensor
+    Dims: (features,).
+    """
 
-    @classmethod
-    def init(cls, features, rng, dtype=np.float32):
+    @staticmethod
+    def spec(features):
         f = features
-        return cls(
-            ln1_gamma=_ones((f,), dtype), ln1_beta=_zeros((f,), dtype),
-            pw1_w=_uniform(rng, (2 * f, f), f, dtype), pw1_b=_zeros((2 * f,), dtype),
-            dw_w=_uniform(rng, (2 * f, 3), 3, dtype), dw_b=_zeros((2 * f,), dtype),
-            sca_w=_uniform(rng, (f, f), f, dtype), sca_b=_zeros((f,), dtype),
-            pw2_w=_uniform(rng, (f, f), f, dtype), pw2_b=_zeros((f,), dtype),
-            ln2_gamma=_ones((f,), dtype), ln2_beta=_zeros((f,), dtype),
-            ffn1_w=_uniform(rng, (2 * f, f), f, dtype), ffn1_b=_zeros((2 * f,), dtype),
-            ffn2_w=_uniform(rng, (f, f), f, dtype), ffn2_b=_zeros((f,), dtype),
-        )
-
-    @classmethod
-    def zeros(cls, features, dtype=np.float32):
-        f = features
-        return cls(
-            ln1_gamma=_zeros((f,), dtype), ln1_beta=_zeros((f,), dtype),
-            pw1_w=_zeros((2 * f, f), dtype), pw1_b=_zeros((2 * f,), dtype),
-            dw_w=_zeros((2 * f, 3), dtype), dw_b=_zeros((2 * f,), dtype),
-            sca_w=_zeros((f, f), dtype), sca_b=_zeros((f,), dtype),
-            pw2_w=_zeros((f, f), dtype), pw2_b=_zeros((f,), dtype),
-            ln2_gamma=_zeros((f,), dtype), ln2_beta=_zeros((f,), dtype),
-            ffn1_w=_zeros((2 * f, f), dtype), ffn1_b=_zeros((2 * f,), dtype),
-            ffn2_w=_zeros((f, f), dtype), ffn2_b=_zeros((f,), dtype),
-        )
-
-    def named_tensors(self, prefix=""):
-        return [(prefix + n, getattr(self, n)) for n in
-                ("ln1_gamma", "ln1_beta", "pw1_w", "pw1_b", "dw_w", "dw_b",
-                 "sca_w", "sca_b", "pw2_w", "pw2_b", "ln2_gamma", "ln2_beta",
-                 "ffn1_w", "ffn1_b", "ffn2_w", "ffn2_b")]
+        return [
+            ("ln1_gamma", (f,), one), ("ln1_beta", (f,), zero),
+            ("pw1_w", (2 * f, f), uniform(f)), ("pw1_b", (2 * f,), zero),
+            ("dw_w", (2 * f, 3), uniform(3)), ("dw_b", (2 * f,), zero),  # across-track
+            ("sca_w", (f, f), uniform(f)), ("sca_b", (f,), zero),  # on the pooled descriptor
+            ("pw2_w", (f, f), uniform(f)), ("pw2_b", (f,), zero),
+            ("ln2_gamma", (f,), one), ("ln2_beta", (f,), zero),
+            ("ffn1_w", (2 * f, f), uniform(f)), ("ffn1_b", (2 * f,), zero),
+            ("ffn2_w", (f, f), uniform(f)), ("ffn2_b", (f,), zero),
+        ]
 
 
 def simple_gate(x):
@@ -180,44 +150,29 @@ def naf_forward(z, p):
     return T.add(y, u)
 
 
-@dataclass
-class UpsamplerParams:
-    """Channel expansion to f*r^2, 1D pixel shuffle, per-line restore conv."""
+class UpsamplerParams(ParamSet):
+    """Channel expansion to f*r^2, 1D pixel shuffle, per-line restore conv.
 
-    expand_w: Tensor   # (f*r^2, F, 3)
-    expand_b: Tensor
-    restore_w: Tensor  # (C, f, 3)
-    restore_b: Tensor
-    scale: int
-    up_features: int
+    Dims: (features, up_features, scale, bands).
+    """
 
-    @classmethod
-    def init(cls, features, up_features, scale, bands, rng, dtype=np.float32):
+    @staticmethod
+    def spec(features, up_features, scale, bands):
         fr2 = up_features * scale * scale
-        return cls(
-            expand_w=_uniform(rng, (fr2, features, 3), features * 3, dtype),
-            expand_b=_zeros((fr2,), dtype),
-            restore_w=_uniform(rng, (bands, up_features, 3), up_features * 3, dtype),
-            restore_b=_zeros((bands,), dtype),
-            scale=scale,
-            up_features=up_features,
-        )
+        return [
+            ("expand_w", (fr2, features, 3), uniform(features * 3)),
+            ("expand_b", (fr2,), zero),
+            ("restore_w", (bands, up_features, 3), uniform(up_features * 3)),
+            ("restore_b", (bands,), zero),
+        ]
 
-    @classmethod
-    def zeros(cls, features, up_features, scale, bands, dtype=np.float32):
-        fr2 = up_features * scale * scale
-        return cls(
-            expand_w=_zeros((fr2, features, 3), dtype),
-            expand_b=_zeros((fr2,), dtype),
-            restore_w=_zeros((bands, up_features, 3), dtype),
-            restore_b=_zeros((bands,), dtype),
-            scale=scale,
-            up_features=up_features,
-        )
+    @property
+    def up_features(self):
+        return self.dims[1]
 
-    def named_tensors(self, prefix=""):
-        return [(prefix + n, getattr(self, n)) for n in
-                ("expand_w", "expand_b", "restore_w", "restore_b")]
+    @property
+    def scale(self):
+        return self.dims[2]
 
 
 def pixel_shuffle_line(x, scale, up_features):

@@ -21,6 +21,7 @@ if _threads:
         os.environ.setdefault(var, _threads)
 
 from .errors import ConfigError, ContractError, NumericError
+from .stream import PRISMA_LINE_MS
 
 EXIT_NUMERIC = 1
 EXIT_IO = 2
@@ -42,11 +43,8 @@ TRAIN_KEYS = {
 def parse_config_file(path, schema):
     """Strict key=value parser; unknown keys are rejected by name and line."""
     values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as e:
-        raise e
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -321,7 +319,7 @@ def build_parser():
     s.add_argument("--model", required=True)
     s.add_argument("--in", dest="input", required=True)
     s.add_argument("--out", dest="output", required=True)
-    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=4.32)
+    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS)
     s.add_argument("--report", help="write per-line latency CSV here")
     s.set_defaults(func=cmd_sr_stream)
 
@@ -342,7 +340,7 @@ def build_parser():
     s = sub.add_parser("simulate", help="replay a stream against a line budget")
     s.add_argument("--model", required=True)
     s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=4.32)
+    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS)
     s.add_argument("--cadence-ms", dest="cadence_ms", type=float)
     s.add_argument("--report")
     s.set_defaults(func=cmd_simulate)

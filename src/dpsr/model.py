@@ -55,22 +55,6 @@ class DpsrConfig:
         return self.expand * self.features
 
 
-def _mem_init(cfg, rng, dtype):
-    if cfg.memory_kind == "mamba":
-        return ssm.MambaParams.init(cfg.features, cfg.expand, cfg.state_size,
-                                    cfg.kernel_lines, rng, dtype)
-    return ssm.CausalConvParams.init(cfg.features, cfg.expand,
-                                     cfg.kernel_lines, rng, dtype)
-
-
-def _mem_zeros(cfg, dtype):
-    if cfg.memory_kind == "mamba":
-        return ssm.MambaParams.zeros(cfg.features, cfg.expand, cfg.state_size,
-                                     cfg.kernel_lines, dtype)
-    return ssm.CausalConvParams.zeros(cfg.features, cfg.expand,
-                                      cfg.kernel_lines, dtype)
-
-
 @dataclass
 class DpsrParams:
     config: DpsrConfig
@@ -79,30 +63,26 @@ class DpsrParams:
     upsampler: UpsamplerParams
 
     @classmethod
-    def init(cls, config, seed=0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+    def _build(cls, config, make):
+        c = config
         return cls(
-            config=config,
-            sfe=SfeParams.init(config.bands, config.features,
-                               config.ca_reduction, rng, dtype),
-            clff=[(NafParams.init(config.features, rng, dtype),
-                   _mem_init(config, rng, dtype))
-                  for _ in range(config.n_clff)],
-            upsampler=UpsamplerParams.init(config.features, config.up_features,
-                                           config.scale, config.bands, rng, dtype),
+            config=c,
+            sfe=make(SfeParams, c.bands, c.features, c.ca_reduction),
+            clff=[(make(NafParams, c.features),
+                   make(ssm.MemoryParams, c.features, c.expand, c.state_size,
+                        c.kernel_lines, c.memory_kind == "mamba"))
+                  for _ in range(c.n_clff)],
+            upsampler=make(UpsamplerParams, c.features, c.up_features, c.scale, c.bands),
         )
 
     @classmethod
+    def init(cls, config, seed=0, dtype=np.float32):
+        rng = np.random.default_rng(seed)
+        return cls._build(config, lambda block, *dims: block.init(*dims, rng, dtype=dtype))
+
+    @classmethod
     def zeros(cls, config, dtype=np.float32):
-        return cls(
-            config=config,
-            sfe=SfeParams.zeros(config.bands, config.features,
-                                config.ca_reduction, dtype),
-            clff=[(NafParams.zeros(config.features, dtype), _mem_zeros(config, dtype))
-                  for _ in range(config.n_clff)],
-            upsampler=UpsamplerParams.zeros(config.features, config.up_features,
-                                            config.scale, config.bands, dtype),
-        )
+        return cls._build(config, lambda block, *dims: block.zeros(*dims, dtype=dtype))
 
     def named_tensors(self):
         """All parameter tensors in the frozen serialization order."""
@@ -128,19 +108,13 @@ class DpsrParams:
 class StreamState:
     """Everything the streaming model remembers between lines."""
 
-    mem: list                     # per-CLFF ssm.MambaState / CausalConvState
+    mem: list                     # per-CLFF ssm.MemoryState
     prev_line: np.ndarray | None = None
     lines_consumed: int = 0
 
     @property
     def width(self):
         return self.mem[0].width
-
-    def element_count(self):
-        n = sum(m.element_count() for m in self.mem)
-        if self.prev_line is not None:
-            n += self.prev_line.size
-        return n
 
     def nbytes(self):
         n = sum(m.nbytes() for m in self.mem)
@@ -150,12 +124,8 @@ class StreamState:
 
 
 def init_stream(params, width, dtype=np.float32):
-    cfg = params.config
-    if cfg.memory_kind == "mamba":
-        states = [ssm.MambaState.fresh(mem, width, dtype) for _, mem in params.clff]
-    else:
-        states = [ssm.CausalConvState.fresh(mem, width, dtype) for _, mem in params.clff]
-    return StreamState(mem=states)
+    return StreamState(mem=[ssm.MemoryState.fresh(mem, width, dtype)
+                            for _, mem in params.clff])
 
 
 def _mem_step(z, mem_params, state, kind):
@@ -189,9 +159,12 @@ def dpsr_step(line, params, state):
 
     z = sfe_forward(Tensor(line), params.sfe)
     new_mem = []
-    for (naf, mem), mstate in zip(params.clff, state.mem):
+    for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
         z, mstate = _mem_step(z, mem, mstate, cfg.memory_kind)
+        if mstate.h is not None and not np.all(np.isfinite(mstate.h)):
+            raise NumericError(f"dpsr_step: non-finite SSM latent in CLFF block {i} "
+                               f"at line {state.lines_consumed}")
         new_mem.append(mstate)
     residual = upsample_line(z, params.upsampler)
 

@@ -1,17 +1,21 @@
 """Along-track memory: causal line convolution plus a selective SSM.
 
-Two execution paths over the same parameters:
+One block, one forward: `_forward` takes L >= 1 lines and the state left by
+the lines before them, and returns the L output lines plus the state after
+them. Streaming calls it with one line at a time (the `*_step` entries);
+training calls it with the whole sequence from a fresh state (the `*_scan`
+entries). Folding the step over a sequence and running the scan therefore
+share every operation, which is what makes line-by-line inference exact
+rather than an approximation. In 32-bit the two may still differ by
+rounding, since the projections then run over L lines at once.
 
-* step: consume one line, carry explicit state (streaming inference);
-* scan: consume the whole line sequence at once (training path).
+The causal-conv ablation is the same block without the SSM term; the
+params decide which one runs.
 
-Folding the step over a sequence from zero state and running the scan give
-the same result; that equivalence is what makes line-by-line inference
-exact rather than an approximation.
-
-State per block: the last K projected feature lines (K, W, EF) for the
-causal convolution, and the SSM latent (W, EF, N). Both are independent of
-how many lines were already processed.
+State per block: the last K-1 projected feature lines (K-1, W, EF), which
+is all the causal convolution reads besides the new line, and, for the
+selective block, the SSM latent (W, EF, N). Both are independent of how
+many lines were already processed.
 """
 
 from dataclasses import dataclass
@@ -19,83 +23,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, NumericError, ShapeError
+from .blocks import ParamSet, one, uniform, zero
+from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 DT_MIN = 0.001
 DT_MAX = 0.1
 
 
-def _uniform(rng, shape, fan_in, dtype):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype),
-                  requires_grad=True)
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def _dt_bias_init(rng, width, dtype):
+def _dt_bias(rng, shape):
     # softplus(bias) uniform in [DT_MIN, DT_MAX], log-spaced
-    dt = np.exp(rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=width))
-    return Tensor(np.log(np.expm1(dt)).astype(dtype), requires_grad=True)
+    dt = np.exp(rng.uniform(np.log(DT_MIN), np.log(DT_MAX), size=shape))
+    return np.log(np.expm1(dt))
 
 
-def _a_log_init(inner, state, dtype):
+def _a_log(rng, shape):
     # -A = 1..N per state index, repeated over channels
-    a = np.tile(np.arange(1, state + 1, dtype=np.float64), (inner, 1))
-    return Tensor(np.log(a).astype(dtype), requires_grad=True)
+    inner, state = shape
+    return np.log(np.tile(np.arange(1, state + 1, dtype=np.float64), (inner, 1)))
 
 
-@dataclass
-class MambaParams:
-    """Selective-SSM memory block (input-dependent dt, B, C; learned A, D)."""
+class MemoryParams(ParamSet):
+    """Memory block: value branch through a causal line conv and, when
+    selective, an SSM with input-dependent dt, B, C and learned A, D; then
+    a SiLU gate and an output projection.
 
-    in_w: Tensor     # (EF, F) value branch
-    in_b: Tensor
-    gate_w: Tensor   # (EF, F) gate branch
-    gate_b: Tensor
-    conv_w: Tensor   # (EF, K) causal depthwise, along-track
-    conv_b: Tensor
-    dt_w: Tensor     # (EF, EF)
-    dt_b: Tensor
-    b_w: Tensor      # (N, EF)
-    c_w: Tensor      # (N, EF)
-    a_log: Tensor    # (EF, N); A = -exp(a_log) < 0
-    d_skip: Tensor   # (EF,)
-    out_w: Tensor    # (F, EF)
-    out_b: Tensor
+    Dims: (features, expand, state, kernel_lines, selective). The
+    non-selective block (the causal-conv ablation) has no SSM tensors.
+    """
 
-    @classmethod
-    def init(cls, features, expand, state, kernel_lines, rng, dtype=np.float32):
+    @staticmethod
+    def spec(features, expand, state, kernel_lines, selective):
         f, ef, n, k = features, features * expand, state, kernel_lines
-        return cls(
-            in_w=_uniform(rng, (ef, f), f, dtype), in_b=_zeros((ef,), dtype),
-            gate_w=_uniform(rng, (ef, f), f, dtype), gate_b=_zeros((ef,), dtype),
-            conv_w=_uniform(rng, (ef, k), k, dtype), conv_b=_zeros((ef,), dtype),
-            dt_w=_uniform(rng, (ef, ef), ef, dtype), dt_b=_dt_bias_init(rng, ef, dtype),
-            b_w=_uniform(rng, (n, ef), ef, dtype),
-            c_w=_uniform(rng, (n, ef), ef, dtype),
-            a_log=_a_log_init(ef, n, dtype),
-            d_skip=Tensor(np.ones(ef, dtype=dtype), requires_grad=True),
-            out_w=_uniform(rng, (f, ef), ef, dtype), out_b=_zeros((f,), dtype),
-        )
+        ssm = [
+            ("dt_w", (ef, ef), uniform(ef)),
+            ("dt_b", (ef,), _dt_bias),
+            ("b_w", (n, ef), uniform(ef)),
+            ("c_w", (n, ef), uniform(ef)),
+            ("a_log", (ef, n), _a_log),      # A = -exp(a_log) < 0
+            ("d_skip", (ef,), one),
+        ]
+        return ([("in_w", (ef, f), uniform(f)), ("in_b", (ef,), zero),
+                 ("gate_w", (ef, f), uniform(f)), ("gate_b", (ef,), zero),
+                 ("conv_w", (ef, k), uniform(k)), ("conv_b", (ef,), zero)]
+                + (ssm if selective else [])
+                + [("out_w", (f, ef), uniform(ef)), ("out_b", (f,), zero)])
 
-    @classmethod
-    def zeros(cls, features, expand, state, kernel_lines, dtype=np.float32):
-        f, ef, n, k = features, features * expand, state, kernel_lines
-        return cls(
-            in_w=_zeros((ef, f), dtype), in_b=_zeros((ef,), dtype),
-            gate_w=_zeros((ef, f), dtype), gate_b=_zeros((ef,), dtype),
-            conv_w=_zeros((ef, k), dtype), conv_b=_zeros((ef,), dtype),
-            dt_w=_zeros((ef, ef), dtype), dt_b=_zeros((ef,), dtype),
-            b_w=_zeros((n, ef), dtype),
-            c_w=_zeros((n, ef), dtype),
-            a_log=_zeros((ef, n), dtype),
-            d_skip=_zeros((ef,), dtype),
-            out_w=_zeros((f, ef), dtype), out_b=_zeros((f,), dtype),
-        )
+    @property
+    def selective(self):
+        return self.dims[4]
 
     @property
     def kernel_lines(self):
@@ -107,213 +83,95 @@ class MambaParams:
 
     @property
     def state_size(self):
-        return self.b_w.shape[0]
-
-    def named_tensors(self, prefix=""):
-        return [(prefix + n, getattr(self, n)) for n in
-                ("in_w", "in_b", "gate_w", "gate_b", "conv_w", "conv_b",
-                 "dt_w", "dt_b", "b_w", "c_w", "a_log", "d_skip",
-                 "out_w", "out_b")]
+        return self.dims[2]
 
 
 @dataclass
-class MambaState:
-    """Recurrent state: K buffered lines (oldest first) and the SSM latent."""
+class MemoryState:
+    """Recurrent state of one memory block."""
 
-    conv_buf: np.ndarray  # (K, W, EF)
-    h: np.ndarray         # (W, EF, N)
+    conv_tail: np.ndarray          # (K-1, W, EF) last value lines, oldest first
+    h: np.ndarray | None = None    # (W, EF, N) SSM latent; selective blocks only
 
     @classmethod
     def fresh(cls, params, width, dtype=np.float32):
-        k, ef, n = params.kernel_lines, params.inner, params.state_size
-        return cls(conv_buf=np.zeros((k, width, ef), dtype=dtype),
-                   h=np.zeros((width, ef, n), dtype=dtype))
+        k, ef = params.kernel_lines, params.inner
+        h = None
+        if params.selective:
+            h = np.zeros((width, ef, params.state_size), dtype=dtype)
+        return cls(conv_tail=np.zeros((k - 1, width, ef), dtype=dtype), h=h)
 
     @property
     def width(self):
-        return self.conv_buf.shape[1]
-
-    def element_count(self):
-        return self.conv_buf.size + self.h.size
+        return self.conv_tail.shape[1]
 
     def nbytes(self):
-        return self.conv_buf.nbytes + self.h.nbytes
+        return self.conv_tail.nbytes + (0 if self.h is None else self.h.nbytes)
 
 
-@dataclass
-class CausalConvParams:
-    """Ablation memory block: the value/gate branches without the SSM."""
-
-    in_w: Tensor
-    in_b: Tensor
-    gate_w: Tensor
-    gate_b: Tensor
-    conv_w: Tensor   # (EF, K)
-    conv_b: Tensor
-    out_w: Tensor
-    out_b: Tensor
-
-    @classmethod
-    def init(cls, features, expand, kernel_lines, rng, dtype=np.float32):
-        f, ef, k = features, features * expand, kernel_lines
-        return cls(
-            in_w=_uniform(rng, (ef, f), f, dtype), in_b=_zeros((ef,), dtype),
-            gate_w=_uniform(rng, (ef, f), f, dtype), gate_b=_zeros((ef,), dtype),
-            conv_w=_uniform(rng, (ef, k), k, dtype), conv_b=_zeros((ef,), dtype),
-            out_w=_uniform(rng, (f, ef), ef, dtype), out_b=_zeros((f,), dtype),
-        )
-
-    @classmethod
-    def zeros(cls, features, expand, kernel_lines, dtype=np.float32):
-        f, ef, k = features, features * expand, kernel_lines
-        return cls(
-            in_w=_zeros((ef, f), dtype), in_b=_zeros((ef,), dtype),
-            gate_w=_zeros((ef, f), dtype), gate_b=_zeros((ef,), dtype),
-            conv_w=_zeros((ef, k), dtype), conv_b=_zeros((ef,), dtype),
-            out_w=_zeros((f, ef), dtype), out_b=_zeros((f,), dtype),
-        )
-
-    @property
-    def kernel_lines(self):
-        return self.conv_w.shape[1]
-
-    @property
-    def inner(self):
-        return self.in_w.shape[0]
-
-    def named_tensors(self, prefix=""):
-        return [(prefix + n, getattr(self, n)) for n in
-                ("in_w", "in_b", "gate_w", "gate_b", "conv_w", "conv_b",
-                 "out_w", "out_b")]
-
-
-@dataclass
-class CausalConvState:
-    conv_buf: np.ndarray  # (K, W, EF)
-
-    @classmethod
-    def fresh(cls, params, width, dtype=np.float32):
-        return cls(conv_buf=np.zeros((params.kernel_lines, width, params.inner),
-                                     dtype=dtype))
-
-    @property
-    def width(self):
-        return self.conv_buf.shape[1]
-
-    def element_count(self):
-        return self.conv_buf.size
-
-    def nbytes(self):
-        return self.conv_buf.nbytes
-
-
-def _check_step_inputs(z, p, s):
+def _forward(z, p, s):
+    """(L, W, F) lines after state `s` -> (L, W, F) Tensor plus the next state."""
     if s is None:
-        raise ContractError("step called without an initialized state")
+        raise ContractError("memory block called without an initialized state")
     if z.shape[-1] != p.in_w.shape[1]:
-        raise ShapeError(f"step: {z.shape[-1]} features vs params {p.in_w.shape[1]}")
-    if z.shape[-2] != s.width:
+        raise ShapeError(f"memory block: {z.shape[-1]} features vs params {p.in_w.shape[1]}")
+    if z.shape[1] != s.width:
         raise ContractError(
-            f"step: line width {z.shape[-2]} does not match state width {s.width}")
+            f"memory block: line width {z.shape[1]} does not match state width {s.width}")
+    lines, width = z.shape[0], z.shape[1]
+    v = T.linear(z, p.in_w, p.in_b)
+    zp = T.silu(T.causal_depthwise_conv(v, s.conv_tail, p.conv_w, p.conv_b))
+    tail = np.concatenate([s.conv_tail, v.data], axis=0)[lines:]
+    y, h = zp, None
+    if p.selective:
+        n = p.state_size
+        dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))
+        b_col = T.reshape(T.linear(zp, p.b_w), (lines, width, 1, n))
+        c_col = T.reshape(T.linear(zp, p.c_w), (lines, width, 1, n))
+        a = T.neg(T.exp(p.a_log))
+        da = T.exp(T.mul(T.expand_last(dt), a))                 # (L, W, EF, N)
+        dbz = T.mul(T.expand_last(T.mul(dt, zp)), b_col)
+        h = Tensor(s.h)
+        reads = []
+        for t in range(lines):
+            h = T.add(T.mul(T.take_line(da, t), h), T.take_line(dbz, t))
+            reads.append(T.reduce_sum(T.mul(h, T.take_line(c_col, t)), axis=-1))
+        y = T.add(T.stack(reads, axis=0), T.mul(p.d_skip, zp))
+        h = h.data
+    gated = T.mul(y, T.silu(T.linear(z, p.gate_w, p.gate_b)))
+    return T.linear(gated, p.out_w, p.out_b), MemoryState(conv_tail=tail, h=h)
 
 
-def _push_line(buf, line):
-    """New (K, W, EF) buffer with `line` appended as the newest entry."""
-    return np.concatenate([buf[1:], line[None]], axis=0)
+def _step(z, p, s):
+    z = T.as_tensor(z)
+    out, s = _forward(T.reshape(z, (1,) + z.shape), p, s)
+    return T.reshape(out, z.shape), s
 
 
-def _buffered_conv(buf, conv_w, conv_b):
-    """Causal conv evaluated at the newest line of the buffer."""
-    y = np.einsum("kwc,ck->wc", buf, conv_w.data, optimize=True)
-    return y + conv_b.data
+def _scan(z_seq, p):
+    z_seq = T.as_tensor(z_seq)
+    out, _ = _forward(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))
+    return out
 
 
-def _ssm_output(zp, dt, b_in, c_out, a_log, d_skip, h_prev):
-    """One recurrence update for a single line.
-
-    zp, dt: (W, EF); b_in, c_out: (W, N); h_prev: Tensor (W, EF, N).
-    Returns (readout (W, EF), new latent Tensor).
-    """
-    width = zp.shape[0]
-    a = T.neg(T.exp(a_log))                                   # (EF, N)
-    da = T.exp(T.mul(T.expand_last(dt), a))                   # (W, EF, N)
-    b_col = T.reshape(b_in, (width, 1, b_in.shape[-1]))
-    dbz = T.mul(T.expand_last(T.mul(dt, zp)), b_col)
-    h = T.add(T.mul(da, h_prev), dbz)
-    c_col = T.reshape(c_out, (width, 1, c_out.shape[-1]))
-    read = T.reduce_sum(T.mul(h, c_col), axis=-1)
-    return T.add(read, T.mul(d_skip, zp)), h
-
+# Two entry names per path, one per memory kind, so that callers and
+# tracers can tell the kinds apart; the params decide whether the SSM runs.
 
 def mamba_step(z, p, s):
-    """One line through the block: (W, F) -> (W, F) plus the next state."""
-    z = T.as_tensor(z)
-    _check_step_inputs(z, p, s)
-    v = T.linear(z, p.in_w, p.in_b)
-    buf = _push_line(s.conv_buf, v.data)
-    zp = T.silu(Tensor(_buffered_conv(buf, p.conv_w, p.conv_b)))
-    dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))
-    b_in = T.linear(zp, p.b_w)
-    c_out = T.linear(zp, p.c_w)
-    z2, h = _ssm_output(zp, dt, b_in, c_out, p.a_log, p.d_skip, Tensor(s.h))
-    if not np.all(np.isfinite(h.data)):
-        raise NumericError("mamba_step: non-finite SSM latent state")
-    gated = T.mul(z2, T.silu(T.linear(z, p.gate_w, p.gate_b)))
-    out = T.linear(gated, p.out_w, p.out_b)
-    return out, MambaState(conv_buf=buf, h=h.data)
-
-
-def mamba_scan(z_seq, p):
-    """Whole sequence (H, W, F) -> (H, W, F), zero initial state.
-
-    Matches folding mamba_step over the lines; the projections run over the
-    full sequence at once, so 32-bit results may differ from the fold by
-    rounding only.
-    """
-    z_seq = T.as_tensor(z_seq)
-    if z_seq.shape[-1] != p.in_w.shape[1]:
-        raise ShapeError(
-            f"scan: {z_seq.shape[-1]} features vs params {p.in_w.shape[1]}")
-    h_lines, width = z_seq.shape[0], z_seq.shape[1]
-    v = T.linear(z_seq, p.in_w, p.in_b)
-    zp = T.silu(T.causal_depthwise_conv(v, p.conv_w, p.conv_b))
-    dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))
-    b_in = T.linear(zp, p.b_w)       # (H, W, N)
-    c_out = T.linear(zp, p.c_w)
-    a = T.neg(T.exp(p.a_log))
-    da = T.exp(T.mul(T.expand_last(dt), a))                     # (H, W, EF, N)
-    b_col = T.reshape(b_in, (h_lines, width, 1, b_in.shape[-1]))
-    dbz = T.mul(T.expand_last(T.mul(dt, zp)), b_col)
-    c_col = T.reshape(c_out, (h_lines, width, 1, c_out.shape[-1]))
-    h = Tensor(np.zeros((width, p.inner, p.state_size), dtype=z_seq.dtype))
-    reads = []
-    for y in range(h_lines):
-        h = T.add(T.mul(T.take_line(da, y), h), T.take_line(dbz, y))
-        reads.append(T.reduce_sum(T.mul(h, T.take_line(c_col, y)), axis=-1))
-    z2 = T.add(T.stack(reads, axis=0), T.mul(p.d_skip, zp))
-    gated = T.mul(z2, T.silu(T.linear(z_seq, p.gate_w, p.gate_b)))
-    return T.linear(gated, p.out_w, p.out_b)
+    """One line (W, F) -> (W, F) through the selective block, plus the next state."""
+    return _step(z, p, s)
 
 
 def causalconv_step(z, p, s):
-    """Ablation step: value branch through SiLU, then gate and project."""
-    z = T.as_tensor(z)
-    _check_step_inputs(z, p, s)
-    v = T.linear(z, p.in_w, p.in_b)
-    buf = _push_line(s.conv_buf, v.data)
-    zp = T.silu(Tensor(_buffered_conv(buf, p.conv_w, p.conv_b)))
-    gated = T.mul(zp, T.silu(T.linear(z, p.gate_w, p.gate_b)))
-    out = T.linear(gated, p.out_w, p.out_b)
-    return out, CausalConvState(conv_buf=buf)
+    """One line (W, F) -> (W, F) through the causal-conv ablation, plus the next state."""
+    return _step(z, p, s)
+
+
+def mamba_scan(z_seq, p):
+    """Whole sequence (H, W, F) -> (H, W, F) through the selective block from zero state."""
+    return _scan(z_seq, p)
 
 
 def causalconv_scan(z_seq, p):
-    """Batch form of causalconv_step from zero state."""
-    z_seq = T.as_tensor(z_seq)
-    if z_seq.shape[-1] != p.in_w.shape[1]:
-        raise ShapeError(
-            f"scan: {z_seq.shape[-1]} features vs params {p.in_w.shape[1]}")
-    v = T.linear(z_seq, p.in_w, p.in_b)
-    zp = T.silu(T.causal_depthwise_conv(v, p.conv_w, p.conv_b))
-    gated = T.mul(zp, T.silu(T.linear(z_seq, p.gate_w, p.gate_b)))
-    return T.linear(gated, p.out_w, p.out_b)
+    """Whole sequence (H, W, F) -> (H, W, F) through the ablation from zero state."""
+    return _scan(z_seq, p)

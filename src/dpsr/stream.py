@@ -17,7 +17,6 @@ from .errors import ContractError
 from .model import dpsr_step, init_stream
 
 PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
-PRISMA_LINE_MS_ALT = 4.34      # alternative figure in circulation
 
 
 @dataclass
@@ -34,28 +33,20 @@ class StateAccounting:
 def account_state_bytes(config, width, bytes_per_scalar=4):
     """Exact streaming-state footprint for a given line width.
 
-    Per memory block: K*W*EF buffered conv lines, plus W*EF*N SSM latent
-    when the block is selective. Plus the one retained previous input line.
+    Per memory block: the (K-1)*W*EF conv tail (the causal conv's history
+    before the next line), plus the W*EF*N SSM latent when the block is
+    selective. Plus the one retained previous input line.
     """
     w, ef = int(width), config.inner
     items = []
     for i in range(config.n_clff):
-        conv = config.kernel_lines * w * ef * bytes_per_scalar
-        items.append((f"clff{i}.conv_buffer[KxWxEF]", conv))
+        conv = (config.kernel_lines - 1) * w * ef * bytes_per_scalar
+        items.append((f"clff{i}.conv_tail[(K-1)xWxEF]", conv))
         if config.memory_kind == "mamba":
             latent = w * ef * config.state_size * bytes_per_scalar
             items.append((f"clff{i}.ssm_latent[WxEFxN]", latent))
     items.append(("prev_line[WxC]", w * config.bands * bytes_per_scalar))
     return StateAccounting(items=items, total_bytes=sum(b for _, b in items))
-
-
-def per_block_state_bytes(config, width, bytes_per_scalar=4):
-    """State bytes of a single memory block (conv buffer + latent)."""
-    w, ef = int(width), config.inner
-    n = config.kernel_lines * w * ef
-    if config.memory_kind == "mamba":
-        n += w * ef * config.state_size
-    return n * bytes_per_scalar
 
 
 @dataclass

@@ -521,32 +521,40 @@ def depthwise_conv1d(x, weight, bias=None):
     return _record(out, inputs, fn)
 
 
-def causal_depthwise_conv(x, weight, bias=None):
+def causal_depthwise_conv(x, history, weight, bias=None):
     """Depthwise convolution along axis 0 (the along-track line axis).
 
-    x: (H, ..., C), weight: (C, K). Output line y sees lines y-K+1 .. y,
-    zero padded before the start of the sequence; weight[:, K-1] multiplies
-    the newest line.
+    x: (H, ..., C); history: (K-1, ..., C) array of the lines just before
+    x[0], oldest first (zeros at the start of a sequence); weight: (C, K).
+    Output line y sees lines y-K+1 .. y; weight[:, K-1] multiplies the
+    newest line. The history carries no gradient.
     """
     c, k = weight.shape
     if x.shape[-1] != c:
         raise ShapeError(f"causal conv: {x.shape[-1]} channels vs {c} kernels")
-    xp = _pad_axis(x.data, 0, k - 1, 0)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
-    # win: (H, ..., C, K)
-    y = np.einsum("h...ck,ck->h...c", win, weight.data, optimize=True)
+    if history.shape != (k - 1,) + x.shape[1:]:
+        raise ShapeError(f"causal conv: history {history.shape} for input {x.shape}"
+                         f" and {k} kernel lines")
+    h = x.shape[0]
+    xp = np.concatenate([history, x.data], axis=0)
+    wd = weight.data
+    # K shifted slices, not a sliding-window einsum: as fast for one line
+    y = xp[:h] * wd[:, 0]
+    for j in range(1, k):
+        y += xp[j:j + h] * wd[:, j]
     if bias is not None:
         y = y + bias.data
     out = Tensor(y)
-    wd = weight.data
 
     def fn(g):
-        gp = _pad_axis(g, 0, 0, k - 1)
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=0)
-        gx = np.einsum("h...ck,ck->h...c", gwin, wd[:, ::-1], optimize=True)
-        gw = np.einsum("h...c,h...ck->ck", g, win, optimize=True)
+        gxp = np.zeros(xp.shape, dtype=g.dtype)
+        for j in range(k):
+            gxp[j:j + h] += g * wd[:, j]
+        gw = np.stack([(g * xp[j:j + h]).reshape(-1, c).sum(axis=0)
+                       for j in range(k)], axis=1)
+        gx = gxp[k - 1:]
         if bias is not None:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+            gb = g.reshape(-1, c).sum(axis=0)
             return gx, gw, gb
         return gx, gw
 

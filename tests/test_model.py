@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dpsr.errors import FormatError
+from dpsr.errors import FormatError, NumericError
 from dpsr.model import (MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_forward_image,
                         dpsr_step, load_params, save_params)
 
@@ -86,3 +86,14 @@ def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
     assert streamed.dtype == whole.dtype == dtype
     assert np.max(np.abs(streamed - whole)) <= tol
     assert state.lines_consumed == 9
+
+
+def test_non_finite_latent_names_block_and_line():
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    bad = params.astype(np.float32)
+    bad.clff[1][1].a_log.data[0, 0] = np.nan
+    cube = np.random.default_rng(3).random((3, 5, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[0], params, None)
+    _, state = dpsr_step(cube[1], params, state)
+    with pytest.raises(NumericError, match=r"CLFF block 1 at line 2"):
+        dpsr_step(cube[2], bad, state)

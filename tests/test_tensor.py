@@ -131,7 +131,7 @@ def test_causal_conv_matches_explicit_sum():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 2, 3))
     w = rng.standard_normal((3, 4))
-    got = T.causal_depthwise_conv(Tensor(x), Tensor(w)).data
+    got = T.causal_depthwise_conv(Tensor(x), np.zeros((3, 2, 3)), Tensor(w)).data
     for y in range(5):
         for c in range(3):
             acc = np.zeros(2)
@@ -146,11 +146,31 @@ def test_causal_conv_is_causal():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 2, 3))
     w = Tensor(rng.standard_normal((3, 2)))
-    base = T.causal_depthwise_conv(Tensor(x), w).data
+    base = T.causal_depthwise_conv(Tensor(x), np.zeros((1, 2, 3)), w).data
     x2 = x.copy()
     x2[4:] += 100.0
-    pert = T.causal_depthwise_conv(Tensor(x2), w).data
+    pert = T.causal_depthwise_conv(Tensor(x2), np.zeros((1, 2, 3)), w).data
     assert np.array_equal(base[:4], pert[:4])
+
+
+def test_causal_conv_history_continues_the_sequence():
+    # conv of x[m:] after the K-1 lines before it == the tail of conv of x
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 2, 3))
+    w = t64(rng.standard_normal((3, 3)))
+    b = t64(rng.standard_normal(3))
+    padded = np.concatenate([np.zeros((2, 2, 3)), x])
+    whole = T.causal_depthwise_conv(Tensor(x), padded[:2], w, b).data
+    for m in (1, 2, 5):
+        part = T.causal_depthwise_conv(Tensor(x[m:]), padded[m:m + 2], w, b).data
+        assert np.allclose(part, whole[m:], rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        T.causal_depthwise_conv(Tensor(x), np.zeros((1, 2, 3)), w)
+    seq = t64(x[3:6])
+    err = grad_check(lambda: T.reduce_mean(T.mul(T.causal_depthwise_conv(seq, x[1:3], w, b),
+                                                 T.causal_depthwise_conv(seq, x[1:3], w, b))),
+                     [seq, w, b])
+    assert err < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +400,10 @@ def test_conv_gradients():
         seq = t64(rng.standard_normal((4, 2, 3)))
         cw = t64(rng.standard_normal((3, 2)))
         cb = t64(rng.standard_normal(3))
+        hist = np.zeros((1, 2, 3))
         err = grad_check(
-            lambda: T.reduce_mean(T.mul(T.causal_depthwise_conv(seq, cw, cb),
-                                        T.causal_depthwise_conv(seq, cw, cb))),
+            lambda: T.reduce_mean(T.mul(T.causal_depthwise_conv(seq, hist, cw, cb),
+                                        T.causal_depthwise_conv(seq, hist, cw, cb))),
             [seq, cw, cb])
         assert err < 1e-6
 
