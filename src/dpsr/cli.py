@@ -14,12 +14,6 @@ import os
 import sys
 import time
 
-# Cap numeric-library threading before numpy loads anywhere.
-_threads = os.environ.get("DPSR_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
-
 from .errors import ConfigError, ContractError, NumericError
 from .stream import PRISMA_LINE_MS
 

@@ -9,13 +9,19 @@ share every operation, which is what makes line-by-line inference exact
 rather than an approximation. In 32-bit the two may still differ by
 rounding, since the projections then run over L lines at once.
 
+The SSM recurrence itself is one op, `tensor.selective_scan`, for any L:
+it advances the latent with in-place array updates rather than a chain of
+per-line tensor ops, and its backward runs the adjoint recurrence in
+reverse, so a training step's tape does not grow with the number of lines.
+
 The causal-conv ablation is the same block without the SSM term; the
 params decide which one runs.
 
 State per block: the last K-1 projected feature lines (K-1, W, EF), which
 is all the causal convolution reads besides the new line, and, for the
-selective block, the SSM latent (W, EF, N). Both are independent of how
-many lines were already processed.
+selective block, the SSM latent (W, N, EF), laid out with the channels
+last so that its updates run along the long contiguous axis. Both are
+independent of how many lines were already processed.
 """
 
 from dataclasses import dataclass
@@ -91,14 +97,14 @@ class MemoryState:
     """Recurrent state of one memory block."""
 
     conv_tail: np.ndarray          # (K-1, W, EF) last value lines, oldest first
-    h: np.ndarray | None = None    # (W, EF, N) SSM latent; selective blocks only
+    h: np.ndarray | None = None    # (W, N, EF) SSM latent; selective blocks only
 
     @classmethod
     def fresh(cls, params, width, dtype=np.float32):
         k, ef = params.kernel_lines, params.inner
         h = None
         if params.selective:
-            h = np.zeros((width, ef, params.state_size), dtype=dtype)
+            h = np.zeros((width, params.state_size, ef), dtype=dtype)
         return cls(conv_tail=np.zeros((k - 1, width, ef), dtype=dtype), h=h)
 
     @property
@@ -118,26 +124,16 @@ def _forward(z, p, s):
     if z.shape[1] != s.width:
         raise ContractError(
             f"memory block: line width {z.shape[1]} does not match state width {s.width}")
-    lines, width = z.shape[0], z.shape[1]
+    lines = z.shape[0]
     v = T.linear(z, p.in_w, p.in_b)
     zp = T.silu(T.causal_depthwise_conv(v, s.conv_tail, p.conv_w, p.conv_b))
     tail = np.concatenate([s.conv_tail, v.data], axis=0)[lines:]
     y, h = zp, None
     if p.selective:
-        n = p.state_size
         dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))
-        b_col = T.reshape(T.linear(zp, p.b_w), (lines, width, 1, n))
-        c_col = T.reshape(T.linear(zp, p.c_w), (lines, width, 1, n))
-        a = T.neg(T.exp(p.a_log))
-        da = T.exp(T.mul(T.expand_last(dt), a))                 # (L, W, EF, N)
-        dbz = T.mul(T.expand_last(T.mul(dt, zp)), b_col)
-        h = Tensor(s.h)
-        reads = []
-        for t in range(lines):
-            h = T.add(T.mul(T.take_line(da, t), h), T.take_line(dbz, t))
-            reads.append(T.reduce_sum(T.mul(h, T.take_line(c_col, t)), axis=-1))
-        y = T.add(T.stack(reads, axis=0), T.mul(p.d_skip, zp))
-        h = h.data
+        y, h = T.selective_scan(dt, zp, T.linear(zp, p.b_w), T.linear(zp, p.c_w),
+                                p.a_log, Tensor(s.h))
+        y = T.add(y, T.mul(p.d_skip, zp))
     gated = T.mul(y, T.silu(T.linear(z, p.gate_w, p.gate_b)))
     return T.linear(gated, p.out_w, p.out_b), MemoryState(conv_tail=tail, h=h)
 

@@ -34,7 +34,7 @@ def account_state_bytes(config, width, bytes_per_scalar=4):
     """Exact streaming-state footprint for a given line width.
 
     Per memory block: the (K-1)*W*EF conv tail (the causal conv's history
-    before the next line), plus the W*EF*N SSM latent when the block is
+    before the next line), plus the W*N*EF SSM latent when the block is
     selective. Plus the one retained previous input line.
     """
     w, ef = int(width), config.inner
@@ -44,7 +44,7 @@ def account_state_bytes(config, width, bytes_per_scalar=4):
         items.append((f"clff{i}.conv_tail[(K-1)xWxEF]", conv))
         if config.memory_kind == "mamba":
             latent = w * ef * config.state_size * bytes_per_scalar
-            items.append((f"clff{i}.ssm_latent[WxEFxN]", latent))
+            items.append((f"clff{i}.ssm_latent[WxNxEF]", latent))
     items.append(("prev_line[WxC]", w * config.bands * bytes_per_scalar))
     return StateAccounting(items=items, total_bytes=sum(b for _, b in items))
 

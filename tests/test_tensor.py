@@ -222,6 +222,24 @@ def test_softplus_at_zero():
     assert np.isclose(T.softplus(Tensor([0.0])).data[0], np.log(2.0), atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_matches_logaddexp_without_overflow(dtype):
+    xs = np.linspace(-100, 100, 20001).astype(dtype)
+    x = Tensor(xs, requires_grad=True)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with Tape() as tape:
+            out = T.softplus(x)
+            loss = T.reduce_sum(out)
+        grad, = tape.gradients(loss, [x])
+    # relative to a few ulps, absolute below the smallest normal number,
+    # where float32 values near x = -100 are subnormal
+    eps, tiny = np.finfo(dtype).eps, np.finfo(dtype).tiny
+    assert out.dtype == grad.dtype == dtype
+    assert np.allclose(out.data, np.logaddexp(dtype(0), xs), rtol=4 * eps, atol=tiny)
+    sigmoid = 1.0 / (1.0 + np.exp(-xs.astype(np.float64)))
+    assert np.allclose(grad, sigmoid, rtol=4 * eps, atol=tiny)
+
+
 def test_linear_identity_and_hand_sum():
     x = Tensor([[1.0, 2.0]])
     assert np.allclose(T.linear(x, Tensor(np.eye(2))).data, x.data)
@@ -370,14 +388,90 @@ def test_reduce_and_stack_gradients():
         def f():
             m = T.reduce_max(x, axis=0, keepdims=True)
             s = T.reduce_sum(x, axis=1, keepdims=True)
-            rows = [T.take_line(x, i) for i in range(4)]
-            st = T.stack(rows, axis=0)
-            y = T.add(T.mul(st, m), s)
+            y = T.add(T.mul(x, m), s)
             return T.reduce_mean(T.mul(y, T.arccos(T.clip(
                 T.mul(x, 0.1), -0.9, 0.9))))
 
         err = grad_check(f, [x])
         assert err < 1e-6
+
+
+def _scan_inputs(rng, lines, width=2, inner=3, state=2):
+    """dt, u, b, c, a_log, h0 for selective_scan, all float64 and tracked."""
+    return [t64(rng.uniform(0.1, 0.8, (lines, width, inner))),
+            t64(rng.standard_normal((lines, width, inner))),
+            t64(rng.standard_normal((lines, width, state))),
+            t64(rng.standard_normal((lines, width, state))),
+            t64(rng.uniform(-0.7, 0.7, (inner, state))),
+            t64(rng.standard_normal((width, state, inner)))]
+
+
+def test_selective_scan_matches_explicit_recurrence():
+    rng = np.random.default_rng(102)
+    dt, u, b, c, a_log, h0 = (t.data for t in _scan_inputs(rng, 4, width=3))
+    a = -np.exp(a_log)                                  # (E, N)
+    h = h0.transpose(0, 2, 1).copy()                    # (W, E, N)
+    ref = np.zeros(dt.shape)
+    for t in range(dt.shape[0]):
+        for w in range(dt.shape[1]):
+            for e in range(dt.shape[2]):
+                for n in range(a.shape[1]):
+                    h[w, e, n] = (np.exp(dt[t, w, e] * a[e, n]) * h[w, e, n]
+                                  + b[t, w, n] * dt[t, w, e] * u[t, w, e])
+                    ref[t, w, e] += c[t, w, n] * h[w, e, n]
+    y, h_last = T.selective_scan(*(Tensor(x) for x in (dt, u, b, c, a_log, h0)))
+    assert np.allclose(y.data, ref, rtol=1e-13, atol=1e-13)
+    assert np.allclose(h_last, h.transpose(0, 2, 1), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+def test_selective_scan_gradients(lines):
+    rng = np.random.default_rng(103 + lines)
+    for _ in range(5):
+        ins = _scan_inputs(rng, lines)
+        w = rng.standard_normal((lines, 2, 3))
+
+        def f():
+            y, _ = T.selective_scan(*ins)
+            return T.reduce_mean(T.mul(T.mul(y, y), w))
+
+        err = grad_check(f, ins)
+        assert err < 1e-6
+
+
+def test_selective_scan_leaves_inputs_unchanged():
+    ins = _scan_inputs(np.random.default_rng(105), 3)
+    before = [t.data.copy() for t in ins]
+    with Tape() as tape:
+        y, h_last = T.selective_scan(*ins)
+        loss = T.reduce_sum(T.mul(y, y))
+    tape.gradients(loss, ins)
+    for t, b in zip(ins, before):
+        assert np.array_equal(t.data, b)
+    assert not np.shares_memory(h_last, ins[5].data)
+
+
+def test_selective_scan_slabs_change_nothing(monkeypatch):
+    ins = _scan_inputs(np.random.default_rng(107), 3, width=5)
+
+    def run():
+        with Tape() as tape:
+            y, h_last = T.selective_scan(*ins)
+            loss = T.reduce_sum(T.mul(y, y))
+        return [y.data, h_last] + tape.gradients(loss, ins)
+
+    whole = run()
+    # two columns per slab: slabs of 2, 2 and 1 columns at W=5
+    monkeypatch.setattr(T, "_SCAN_SLAB_BYTES", 2 * 2 * 3 * 8)
+    for a, b in zip(whole, run()):
+        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+
+
+def test_selective_scan_shape_error():
+    ins = _scan_inputs(np.random.default_rng(106), 2)
+    ins[5] = t64(np.zeros((2, 3, 2)))                   # (W, E, N): wrong layout
+    with pytest.raises(ShapeError):
+        T.selective_scan(*ins)
 
 
 def test_conv_gradients():
