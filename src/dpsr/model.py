@@ -162,7 +162,9 @@ def dpsr_step(line, params, state):
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
         z, mstate = _mem_step(z, mem, mstate, cfg.memory_kind)
-        if mstate.h is not None and not np.all(np.isfinite(mstate.h)):
+        # a non-finite latent reaches z through the readout, gate and output
+        # projection, so the (W, F) output is checked, not the (W, N, EF) latent
+        if mstate.h is not None and not np.all(np.isfinite(z.data)):
             raise NumericError(f"dpsr_step: non-finite SSM latent in CLFF block {i} "
                                f"at line {state.lines_consumed}")
         new_mem.append(mstate)

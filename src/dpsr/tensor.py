@@ -420,40 +420,73 @@ def linear(x, weight, bias=None):
     return _record(out, inputs, fn)
 
 
-def _pad_axis(arr, axis, before, after):
-    pads = [(0, 0)] * arr.ndim
-    pads[axis] = (before, after)
-    return np.pad(arr, pads)
+def _taps(k, width):
+    """(j, dst, src) for each tap j of a same-size K-tap line convolution.
+
+    Tap j reads the input j - K//2 columns from the output column: output
+    columns `dst` take input columns `src` (the same count), and the other
+    output columns fall on the zero padding. A tap that lies wholly in the
+    padding (width <= |j - K//2|) gets two empty slices.
+    """
+    p = k // 2
+    for j in range(k):
+        s = j - p
+        lo = max(-s, 0)
+        n = max(width - abs(s), 0)
+        yield j, slice(lo, lo + n), slice(lo + s, lo + s + n)
+
+
+def _columns(x, k):
+    """(..., W, Cin) -> (..., W, Cin, K) column matrix: [..., i, c, j] = x[..., i+j-K//2, c].
+
+    Zero where the tap falls on the padding. Filled tap by tap from
+    contiguous input rows, so no strided window is ever gathered.
+    """
+    cols = np.empty(x.shape + (k,), dtype=x.dtype)
+    for j, dst, src in _taps(k, x.shape[-2]):
+        cols[..., dst, :, j] = x[..., src, :]
+        cols[..., :dst.start, :, j] = 0
+        cols[..., dst.stop:, :, j] = 0
+    return cols
 
 
 def conv1d(x, weight, bias=None):
     """Same-size 1D convolution across the line (axis -2), zero padded.
 
-    x: (..., W, Cin), weight: (Cout, Cin, K) with K odd -> (..., W, Cout).
+    x: (..., W, Cin), weight: (Cout, Cin, K) with K odd -> (..., W, Cout):
+    y[..., i, o] = sum_{c, j} weight[o, c, j] * x[..., i + j - K//2, c].
+
+    The column matrix of x is filled tap by tap and multiplied, all lines at
+    once, in one GEMM against the weight in its stored layout read as
+    (Cout, Cin*K), so the weight is never copied. Under a tape the column
+    matrix is kept for the backward: one GEMM of g against it gives the
+    weight gradient, and one GEMM of g with the weight gives the gradient
+    of the column matrix, whose taps are added back into the input gradient
+    at their column shifts.
     """
     cout, cin, k = weight.shape
     if k % 2 != 1:
         raise ContractError(f"conv1d kernel size must be odd, got {k}")
     if x.shape[-1] != cin:
         raise ShapeError(f"conv1d: input channels {x.shape[-1]} != weight fan-in {cin}")
-    p = k // 2
-    xp = _pad_axis(x.data, -2, p, p)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=xp.ndim - 2)
-    # win: (..., W, Cin, K)
-    y = np.einsum("...wck,ock->...wo", win, weight.data, optimize=True)
+    xd, wd = x.data, weight.data
+    w2 = wd.reshape(cout, cin * k)
+    cols = _columns(xd, k).reshape(-1, cin * k)
+    y = (cols @ w2.T).reshape(xd.shape[:-1] + (cout,))
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
     out = Tensor(y)
-    wd = weight.data
 
     def fn(g):
-        gp = _pad_axis(g, -2, p, p)
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=gp.ndim - 2)
-        gx = np.einsum("...wok,ock->...wc", gwin, wd[:, :, ::-1], optimize=True)
-        gw = np.einsum("...wo,...wck->ock", g, win, optimize=True)
+        g2 = g.reshape(-1, cout)
+        gw = (g2.T @ cols).reshape(wd.shape)
+        gcols = (g2 @ w2).reshape(xd.shape + (k,))
+        gx = gcols[..., k // 2].copy()
+        for j, dst, src in _taps(k, xd.shape[-2]):
+            if j != k // 2:
+                gx[..., src, :] += gcols[..., dst, :, j]
         if bias is not None:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-            return gx, gw, gb
+            return gx, gw, g2.sum(axis=0)
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
@@ -464,31 +497,44 @@ def depthwise_conv1d(x, weight, bias=None):
     """Same-size depthwise 1D convolution across the line (axis -2).
 
     x: (..., W, C), weight: (C, K) with K odd; channel c of the output
-    depends only on channel c of the input.
+    depends only on channel c of the input:
+    y[..., i, c] = sum_j weight[c, j] * x[..., i + j - K//2, c].
+
+    Each tap is one broadcast multiply-add of a shifted slice of x into the
+    output, through one output-sized scratch; the backward runs the same
+    taps, and the weight gradient of tap j is the sum of g times x at that
+    shift.
     """
     c, k = weight.shape
     if k % 2 != 1:
         raise ContractError(f"depthwise_conv1d kernel size must be odd, got {k}")
     if x.shape[-1] != c:
         raise ShapeError(f"depthwise_conv1d: {x.shape[-1]} channels vs {c} kernels")
-    p = k // 2
-    xp = _pad_axis(x.data, -2, p, p)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=xp.ndim - 2)
-    # win: (..., W, C, K)
-    y = np.einsum("...wck,ck->...wc", win, weight.data, optimize=True)
+    xd, wd = x.data, weight.data
+    taps = list(_taps(k, xd.shape[-2]))
+    y = xd * wd[:, k // 2]
+    tmp = np.empty_like(y)
+    for j, dst, src in taps:
+        if j != k // 2:
+            np.multiply(xd[..., src, :], wd[:, j], out=tmp[..., dst, :])
+            y[..., dst, :] += tmp[..., dst, :]
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
     out = Tensor(y)
-    wd = weight.data
 
     def fn(g):
-        gp = _pad_axis(g, -2, p, p)
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=gp.ndim - 2)
-        gx = np.einsum("...wck,ck->...wc", gwin, wd[:, ::-1], optimize=True)
-        gw = np.einsum("...wc,...wck->ck", g, win, optimize=True)
+        lead = tuple(range(g.ndim - 1))
+        gx = g * wd[:, k // 2]
+        gw = np.empty(wd.shape, dtype=gx.dtype)
+        tmp = np.empty_like(gx)
+        for j, dst, src in taps:
+            if j != k // 2:
+                np.multiply(g[..., dst, :], wd[:, j], out=tmp[..., src, :])
+                gx[..., src, :] += tmp[..., src, :]
+            np.multiply(g[..., dst, :], xd[..., src, :], out=tmp[..., dst, :])
+            gw[:, j] = tmp[..., dst, :].sum(axis=lead)
         if bias is not None:
-            gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-            return gx, gw, gb
+            return gx, gw, g.sum(axis=lead)
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
@@ -512,7 +558,6 @@ def causal_depthwise_conv(x, history, weight, bias=None):
     h = x.shape[0]
     xp = np.concatenate([history, x.data], axis=0)
     wd = weight.data
-    # K shifted slices, not a sliding-window einsum: as fast for one line
     y = xp[:h] * wd[:, 0]
     for j in range(1, k):
         y += xp[j:j + h] * wd[:, j]

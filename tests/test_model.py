@@ -97,3 +97,15 @@ def test_non_finite_latent_names_block_and_line():
     _, state = dpsr_step(cube[1], params, state)
     with pytest.raises(NumericError, match=r"CLFF block 1 at line 2"):
         dpsr_step(cube[2], bad, state)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_latent_names_block_and_line(block, value):
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    cube = np.random.default_rng(4).random((3, 5, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[0], params, None)
+    _, state = dpsr_step(cube[1], params, state)
+    state.mem[block].h[2, 1, 3] = value
+    with pytest.raises(NumericError, match=rf"CLFF block {block} at line 2"):
+        dpsr_step(cube[2], params, state)
