@@ -200,27 +200,28 @@ def upsample_line(x, p):
 
 
 def bilinear_two_line(prev, curr, scale):
-    """Bilinear base between two adjacent low-res lines.
+    """Bilinear base between low-res lines and the lines that follow them.
 
-    Output line k of r sits at fraction k/r of the way from `prev` to
-    `curr`; across-track position i interpolates low-res columns floor(i/r)
-    and floor(i/r)+1, clamping at the right edge. Returns an (r, r*W, C)
-    ndarray; this path carries no gradient.
+    (.., W, C) stacks of line pairs -> (.., r, r*W, C). Output line k of r
+    sits at fraction k/r of the way from `prev` to `curr`; across-track
+    position i interpolates low-res columns floor(i/r) and floor(i/r)+1,
+    clamping at the right edge. Returns an ndarray; this path carries no
+    gradient.
     """
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     if prev.shape != curr.shape:
         raise ShapeError(f"bilinear: line shapes differ {prev.shape} vs {curr.shape}")
     r = int(scale)
-    w = prev.shape[0]
+    w = prev.shape[-2]
     i = np.arange(w * r, dtype=prev.dtype)
     pos = i / r
     j0 = np.floor(pos).astype(np.int64)
     frac = (pos - j0).astype(prev.dtype)
     j1 = np.minimum(j0 + 1, w - 1)
-    out = np.empty((r, w * r, prev.shape[1]), dtype=prev.dtype)
+    out = np.empty(prev.shape[:-2] + (r, w * r, prev.shape[-1]), dtype=prev.dtype)
     for k in range(r):
         a = np.asarray(k / r, dtype=prev.dtype)
         line = (1 - a) * prev + a * curr
-        out[k] = (1 - frac)[:, None] * line[j0] + frac[:, None] * line[j1]
+        out[..., k, :, :] = (1 - frac)[:, None] * line[..., j0, :] + frac[:, None] * line[..., j1, :]
     return out

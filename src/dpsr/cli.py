@@ -246,28 +246,14 @@ def cmd_profile(args):
 def cmd_simulate(args):
     from .dataio import read_cube
     from .model import load_params
-    from .stream import LineSource, run_stream
+    from .stream import run_stream
 
     params = load_params(args.model)
     cube = read_cube(args.input)
     _, report = run_stream(cube, params, budget_ms=args.budget_ms)
+    late = None if args.cadence_ms is None else report.count_late(args.cadence_ms)
     print(report.table())
-    if args.cadence_ms:
-        # virtual fixed-cadence timeline: line y is acquired at y*cadence
-        source = LineSource(cube, cadence_ms=args.cadence_ms)
-        done, late = 0.0, 0
-        while True:
-            item = source.next_line()
-            if item is None:
-                break
-            y, _, stamp = item
-            if y == 0:
-                done = stamp + report.first_line_ms
-                continue
-            start = max(done, stamp)
-            done = start + report.latencies_ms[y - 1]
-            if done > stamp + args.cadence_ms:
-                late += 1
+    if late is not None:
         print(f"cadence {args.cadence_ms:.3f} ms: {late} lines finished "
               f"after the next acquisition")
     if args.report:

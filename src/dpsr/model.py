@@ -2,9 +2,16 @@
 
 Consuming low-res line y (0-based, y >= 1) emits the r high-res lines
 r*(y-1) .. r*(y-1)+r-1, i.e. the gap between the previous line and the one
-just acquired. The first call only primes the recurrent state; the last r
+just acquired. The first line only primes the recurrent state; the last r
 high-res grid lines of an H-line image are never produced, so an H-line
 input yields (H-1)*r output lines.
+
+There is one forward, `_forward`: L >= 1 lines and the stream state before
+them in, their output lines and the state after them out. Streaming
+(`dpsr_step`, one line or a chunk at a time) and training
+(`dpsr_forward_image`, all lines from a fresh state) are both thin callers
+of it, so line-by-line inference equals the whole-image forward by
+construction.
 """
 
 import io
@@ -134,79 +141,98 @@ def _mem_step(z, mem_params, state, kind):
     return ssm.causalconv_step(z, mem_params, state)
 
 
-def _mem_scan(z, mem_params, kind):
-    if kind == "mamba":
-        return ssm.mamba_scan(z, mem_params)
-    return ssm.causalconv_scan(z, mem_params)
+def _first_bad_line(a):
+    """Index along axis 0 of the first slice holding a non-finite value, or None."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return int(np.argmin(finite.all(axis=tuple(range(1, a.ndim)))))
 
 
-def dpsr_step(line, params, state):
-    """Feed one low-res line; returns (r, r*W, C) output or None, plus state.
+def _forward(x, params, state):
+    """(L, W, C) lines that follow `state` -> (out Tensor, next StreamState).
 
-    The first line primes the recurrent state and produces no output (there
-    is no previous line to interpolate from).
+    `out` stacks the r high-res lines each input line closes with the line
+    before it: (L*r, r*W, C), or ((L-1)*r, r*W, C) when `state` has no
+    previous line and the first input line only primes. `state` is never
+    mutated, so a caller can drop a rejected chunk and go on from it.
     """
     cfg = params.config
-    line = np.asarray(line)
-    if line.ndim != 2 or line.shape[1] != cfg.bands:
-        raise ContractError(
-            f"dpsr_step: expected a (W, {cfg.bands}) line, got {line.shape}")
-    if state is None:
-        state = init_stream(params, line.shape[0], dtype=line.dtype)
-    if line.shape[0] != state.width:
-        raise ContractError(
-            f"dpsr_step: line width {line.shape[0]} vs stream width {state.width}")
+    first = state.lines_consumed
+    row = _first_bad_line(x.data)
+    if row is not None:
+        raise ContractError(f"non-finite input at line {first + row}")
 
-    z = sfe_forward(Tensor(line), params.sfe)
+    z = sfe_forward(x, params.sfe)
     new_mem = []
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
         z, mstate = _mem_step(z, mem, mstate, cfg.memory_kind)
         # a non-finite latent reaches z through the readout, gate and output
-        # projection, so the (W, F) output is checked, not the (W, N, EF) latent
-        if mstate.h is not None and not np.all(np.isfinite(z.data)):
-            raise NumericError(f"dpsr_step: non-finite SSM latent in CLFF block {i} "
-                               f"at line {state.lines_consumed}")
+        # projection, so the (L, W, F) output is checked, not the (L, W, N, EF) latent
+        row = None if mstate.h is None else _first_bad_line(z.data)
+        if row is not None:
+            raise NumericError(f"non-finite SSM latent in CLFF block {i} at line {first + row}")
         new_mem.append(mstate)
-    residual = upsample_line(z, params.upsampler)
+    up = upsample_line(z, params.upsampler)                  # (L, r, rW, C)
 
-    out = None
-    if state.prev_line is not None:
-        out = residual.data + bilinear_two_line(state.prev_line, line, cfg.scale)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("dpsr_step produced non-finite output")
-    next_state = StreamState(mem=new_mem, prev_line=line.copy(),
-                             lines_consumed=state.lines_consumed + 1)
+    lines = x.data
+    primed = int(state.prev_line is None)      # a fresh stream's first line only primes
+    if not primed:
+        lines = np.concatenate([state.prev_line[None], lines])
+    base = bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
+    out = T.add(T.slice_axis(up, 0, primed, len(x.data)), Tensor(base))
+    row = _first_bad_line(out.data)
+    if row is not None:
+        raise NumericError(f"non-finite output at line {first + primed + row}")
+    out = T.reshape(out, (-1,) + out.shape[2:])
+    next_state = StreamState(mem=new_mem, prev_line=x.data[-1].copy(),
+                             lines_consumed=first + len(x.data))
     return out, next_state
+
+
+def dpsr_step(lines, params, state):
+    """Feed one low-res line (W, C) or a chunk of k >= 1 lines (k, W, C).
+
+    Returns the (r*n, r*W, C) high-res lines the input closes, n = number of
+    input lines with a predecessor, or None when there are none, plus the
+    next state. The first line of a stream only primes the recurrent state
+    (there is no previous line to interpolate from). Any chunking of a
+    stream gives the same output as `dpsr_forward_image`.
+
+    A chunk holding a NaN or +-inf value raises ContractError naming the
+    line; nothing of the chunk is processed and `state` is left as it was,
+    so the stream can skip the bad line and go on from `state`.
+    """
+    cfg = params.config
+    lines = np.asarray(lines)
+    if lines.ndim not in (2, 3) or lines.shape[-1] != cfg.bands or lines.size == 0:
+        raise ContractError(f"dpsr_step: expected a (W, {cfg.bands}) line or a "
+                            f"(k, W, {cfg.bands}) chunk, got {lines.shape}")
+    x = lines.reshape((-1,) + lines.shape[-2:])
+    if state is None:
+        state = init_stream(params, x.shape[1], dtype=x.dtype)
+    if x.shape[1] != state.width:
+        raise ContractError(
+            f"dpsr_step: line width {x.shape[1]} vs stream width {state.width}")
+    out, next_state = _forward(Tensor(x), params, state)
+    return (out.data if len(out.data) else None), next_state
 
 
 def dpsr_forward_image(cube_lr, params):
     """Whole-image forward: (H, W, C) -> Tensor ((H-1)*r, r*W, C).
 
-    Same math as folding dpsr_step over the lines; this is the training
-    path, so the result participates in the tape.
+    The same forward as dpsr_step, over all lines from a fresh state; this
+    is the training path, so the result participates in the tape.
     """
     cfg = params.config
     x = T.as_tensor(cube_lr)
     if x.data.ndim != 3 or x.shape[2] != cfg.bands:
         raise ContractError(
             f"forward_image: expected (H, W, {cfg.bands}), got {x.shape}")
-    h_lines, width = x.shape[0], x.shape[1]
-    if h_lines < 2:
+    if x.shape[0] < 2:
         raise ContractError("forward_image needs at least 2 lines")
-
-    z = sfe_forward(x, params.sfe)
-    for naf, mem in params.clff:
-        z = naf_forward(z, naf)
-        z = _mem_scan(z, mem, cfg.memory_kind)
-    up = upsample_line(z, params.upsampler)        # (H, r, rW, C)
-    net = T.slice_axis(up, 0, 1, h_lines)          # drop the priming line
-    net = T.reshape(net, ((h_lines - 1) * cfg.scale, width * cfg.scale, cfg.bands))
-
-    base = np.concatenate(
-        [bilinear_two_line(x.data[y - 1], x.data[y], cfg.scale)
-         for y in range(1, h_lines)], axis=0)
-    return T.add(net, Tensor(base))
+    return _forward(x, params, init_stream(params, x.shape[1], dtype=x.dtype))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 One block, one forward: `_forward` takes L >= 1 lines and the state left by
 the lines before them, and returns the L output lines plus the state after
-them. Streaming calls it with one line at a time (the `*_step` entries);
-training calls it with the whole sequence from a fresh state (the `*_scan`
-entries). Folding the step over a sequence and running the scan therefore
-share every operation, which is what makes line-by-line inference exact
-rather than an approximation. In 32-bit the two may still differ by
-rounding, since the projections then run over L lines at once.
+them. The model enters it through the `*_step` entries for any L: one line
+or a chunk while streaming, the whole sequence from a fresh state while
+training. Folding the step over a sequence and running it over the whole
+sequence therefore share every operation, which is what makes line-by-line
+inference exact rather than an approximation. In 32-bit the two may still
+differ by rounding, since the projections then run over L lines at once.
 
 The SSM recurrence itself is one op, `tensor.selective_scan`, for any L:
 it advances the latent with in-place array updates rather than a chain of
@@ -138,36 +138,33 @@ def _forward(z, p, s):
     return T.linear(gated, p.out_w, p.out_b), MemoryState(conv_tail=tail, h=h)
 
 
-def _step(z, p, s):
+def _lines(z, p, s):
+    """(.., W, F) lines after state `s` -> (.., W, F) Tensor plus the next state."""
     z = T.as_tensor(z)
-    out, s = _forward(T.reshape(z, (1,) + z.shape), p, s)
+    out, s = _forward(T.reshape(z, (-1,) + z.shape[-2:]), p, s)
     return T.reshape(out, z.shape), s
 
 
-def _scan(z_seq, p):
-    z_seq = T.as_tensor(z_seq)
-    out, _ = _forward(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))
-    return out
-
-
-# Two entry names per path, one per memory kind, so that callers and
-# tracers can tell the kinds apart; the params decide whether the SSM runs.
+# Two entry names per memory kind, so that callers and tracers can tell the
+# kinds apart; the params decide whether the SSM runs. The model enters the
+# block through the `*_step` names for any number of lines; the `*_scan`
+# names are the same forward from a fresh state.
 
 def mamba_step(z, p, s):
-    """One line (W, F) -> (W, F) through the selective block, plus the next state."""
-    return _step(z, p, s)
+    """(.., W, F) lines -> (.., W, F) through the selective block, plus the next state."""
+    return _lines(z, p, s)
 
 
 def causalconv_step(z, p, s):
-    """One line (W, F) -> (W, F) through the causal-conv ablation, plus the next state."""
-    return _step(z, p, s)
+    """(.., W, F) lines -> (.., W, F) through the causal-conv ablation, plus the next state."""
+    return _lines(z, p, s)
 
 
 def mamba_scan(z_seq, p):
     """Whole sequence (H, W, F) -> (H, W, F) through the selective block from zero state."""
-    return _scan(z_seq, p)
+    return _lines(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))[0]
 
 
 def causalconv_scan(z_seq, p):
     """Whole sequence (H, W, F) -> (H, W, F) through the ablation from zero state."""
-    return _scan(z_seq, p)
+    return _lines(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))[0]

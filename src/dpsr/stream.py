@@ -79,6 +79,22 @@ class StreamReport:
         budget = self.budget_ms if budget_ms is None else budget_ms
         return int(sum(1 for t in self.latencies_ms if t > budget))
 
+    def count_late(self, cadence_ms):
+        """Lines finished after the next acquisition on a fixed-cadence timeline.
+
+        Line y is acquired at y * cadence_ms and starts once it is acquired
+        and line y-1 is done; it is late if it finishes after line y+1 is
+        acquired. The priming line is never counted.
+        """
+        if not cadence_ms > 0:
+            raise ContractError(f"cadence_ms must be > 0, got {cadence_ms}")
+        done, late = self.first_line_ms, 0
+        for y, ms in enumerate(self.latencies_ms, start=1):
+            acquired = y * cadence_ms
+            done = max(done, acquired) + ms
+            late += done > acquired + cadence_ms
+        return late
+
     def table(self):
         rows = [
             ("lines processed", f"{self.lines_processed}"),
@@ -102,55 +118,25 @@ class StreamReport:
                 fh.write(f"{i},{lat:.6f},{sb}\n")
 
 
-class LineSource:
-    """Pull-based acquisition simulator over a stored cube.
-
-    In cadence mode each line also carries a virtual acquisition timestamp
-    (line y becomes available at y * cadence_ms); the processor never sees
-    a line early, and nothing beyond the current line is ever buffered.
-    """
-
-    def __init__(self, cube, cadence_ms=None):
-        self._cube = cube
-        self._next = 0
-        self.cadence_ms = cadence_ms
-
-    def __len__(self):
-        return self._cube.height
-
-    def next_line(self):
-        if self._next >= self._cube.height:
-            return None
-        y = self._next
-        self._next += 1
-        stamp = y * self.cadence_ms if self.cadence_ms is not None else None
-        return y, self._cube.line(y), stamp
-
-
 def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
     """Super-resolve a cube line by line; returns (SR cube, report)."""
     cfg = params.config
     if cube_lr.bands != cfg.bands:
         raise ContractError(
             f"cube has {cube_lr.bands} bands, model expects {cfg.bands}")
-    if budget_ms <= 0:
-        raise ContractError("budget_ms must be > 0")
+    if not budget_ms > 0:
+        raise ContractError(f"budget_ms must be > 0, got {budget_ms}")
     if cube_lr.height < 2:
         raise ContractError("streaming needs at least 2 lines")
 
-    source = LineSource(cube_lr)
     state = init_stream(params, cube_lr.width)
     out = np.empty(((cube_lr.height - 1) * cfg.scale,
                     cube_lr.width * cfg.scale, cfg.bands), dtype=np.float32)
     report = StreamReport(budget_ms=budget_ms, lines_processed=0, first_line_ms=0.0)
 
-    while True:
-        item = source.next_line()
-        if item is None:
-            break
-        y, line, _ = item
+    for y in range(cube_lr.height):
         t0 = time.perf_counter()
-        sr, state = dpsr_step(line, params, state)
+        sr, state = dpsr_step(cube_lr.line(y), params, state)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
         if y == 0:
             report.first_line_ms = elapsed_ms

@@ -241,6 +241,16 @@ def test_bilinear_reproduces_linear_fields():
             assert np.allclose(out[k, i], expect, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_on_a_stack_equals_per_line_calls(dtype):
+    rng = np.random.default_rng(6)
+    prev, curr = rng.standard_normal((2, 5, 7, 3)).astype(dtype)
+    out = bilinear_two_line(prev, curr, 4)
+    assert out.shape == (5, 4, 28, 3) and out.dtype == dtype
+    for y in range(5):
+        assert np.array_equal(out[y], bilinear_two_line(prev[y], curr[y], 4))
+
+
 def test_bilinear_shape_mismatch():
     with pytest.raises(ShapeError):
         bilinear_two_line(np.zeros((3, 2)), np.zeros((4, 2)), 2)

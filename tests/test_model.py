@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dpsr.errors import FormatError, NumericError
+from dpsr.errors import ContractError, FormatError, NumericError
 from dpsr.model import (MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_forward_image,
                         dpsr_step, load_params, save_params)
 
@@ -109,3 +109,65 @@ def test_infinite_latent_names_block_and_line(block, value):
     state.mem[block].h[2, 1, 3] = value
     with pytest.raises(NumericError, match=rf"CLFF block {block} at line 2"):
         dpsr_step(cube[2], params, state)
+
+
+def state_arrays(state):
+    arrays = [state.prev_line] + [a for m in state.mem for a in (m.conv_tail, m.h)]
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def unchanged(before, state):
+    return all((a is None and b is None) or np.array_equal(a, b)
+               for a, b in zip(before, state_arrays(state)))
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+@pytest.mark.parametrize("kernel_lines", [1, 4])
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 9])
+def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
+    # stopping and resuming at any chunk boundary leaves the output unchanged
+    params = DpsrParams.init(small_config(kind, kernel_lines=kernel_lines), seed=1)
+    params = params.astype(dtype)
+    cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
+    state, out = None, []
+    for lo in range(0, len(cube), chunk):
+        before = None if state is None else state_arrays(state)
+        sr, next_state = dpsr_step(cube[lo:lo + chunk], params, state)
+        # the step never writes into the state it was given
+        assert before is None or unchanged(before, state)
+        state = next_state
+        if sr is not None:
+            out.append(sr)
+    streamed = np.concatenate(out, axis=0)
+    whole = dpsr_forward_image(cube, params).data
+    assert streamed.shape == whole.shape == (8 * 4, 5 * 4, 4)
+    assert streamed.dtype == whole.dtype == dtype
+    assert np.max(np.abs(streamed - whole)) <= tol
+    assert state.lines_consumed == 9
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_line_is_rejected_before_any_block(value):
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    cube = np.random.default_rng(5).random((6, 5, 4)).astype(np.float32)
+    bad = cube.copy()
+    bad[3, 2, 1] = value
+    with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+        dpsr_forward_image(bad, params)
+    _, state = dpsr_step(cube[:2], params, None)
+    with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+        dpsr_step(bad[2:5], params, state)          # the bad line inside a chunk
+    _, state = dpsr_step(cube[2], params, state)
+    before = state_arrays(state)
+    with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+        dpsr_step(bad[3], params, state)
+    assert unchanged(before, state)
+
+    # skipping the bad line and going on equals a stream that never saw it
+    resumed = []
+    for line in cube[4:]:
+        sr, state = dpsr_step(line, params, state)
+        resumed.append(sr)
+    clean, _ = fold_steps(np.delete(cube, 3, axis=0), params)
+    assert np.array_equal(np.concatenate(resumed, axis=0), clean[2 * 4:])

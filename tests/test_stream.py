@@ -1,10 +1,11 @@
-"""Streaming state accounting."""
+"""Streaming state accounting and the fixed-cadence timeline."""
 
 import numpy as np
 import pytest
 
+from dpsr.errors import ContractError
 from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step
-from dpsr.stream import account_state_bytes
+from dpsr.stream import StreamReport, account_state_bytes
 
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
@@ -25,3 +26,29 @@ def test_state_accounting_matches_real_state_and_is_constant(kind):
     if kind == "mamba":
         per_block += width * cfg.inner * cfg.state_size * 4
     assert expected == cfg.n_clff * per_block + width * cfg.bands * 4
+
+
+def report(first_ms, latencies_ms):
+    return StreamReport(budget_ms=4.32, lines_processed=len(latencies_ms) + 1,
+                        first_line_ms=first_ms, latencies_ms=list(latencies_ms))
+
+
+def test_backlog_makes_fast_lines_late():
+    # cadence 2: line y is acquired at 2y and due by 2y + 2
+    #   line 1: starts 2, done 7 > 4 late
+    #   line 2: 1 ms, but starts 7, done 8 > 6 late
+    #   line 3: starts 8, done 9 > 8 late
+    #   line 4: starts 9, done 10, on time (not after 10)
+    assert report(1.0, [5.0, 1.0, 1.0, 1.0]).count_late(2.0) == 3
+
+
+def test_no_line_late_when_each_fits_its_period():
+    # each line finishes exactly as the next one is acquired
+    assert report(0.5, [2.0, 2.0, 2.0]).count_late(2.0) == 0
+    assert report(0.5, [1.5, 0.1, 1.9]).count_late(2.0) == 0
+
+
+@pytest.mark.parametrize("cadence", [0.0, -1.0, float("nan")])
+def test_cadence_must_be_positive(cadence):
+    with pytest.raises(ContractError):
+        report(0.5, [1.0]).count_late(cadence)
