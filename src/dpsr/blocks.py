@@ -217,11 +217,11 @@ def bilinear_two_line(prev, curr, scale):
     i = np.arange(w * r, dtype=prev.dtype)
     pos = i / r
     j0 = np.floor(pos).astype(np.int64)
-    frac = (pos - j0).astype(prev.dtype)
+    frac = (pos - j0).astype(prev.dtype)[:, None]
     j1 = np.minimum(j0 + 1, w - 1)
     out = np.empty(prev.shape[:-2] + (r, w * r, prev.shape[-1]), dtype=prev.dtype)
     for k in range(r):
         a = np.asarray(k / r, dtype=prev.dtype)
         line = (1 - a) * prev + a * curr
-        out[..., k, :, :] = (1 - frac)[:, None] * line[..., j0, :] + frac[:, None] * line[..., j1, :]
+        out[..., k, :, :] = (1 - frac) * line[..., j0, :] + frac * line[..., j1, :]
     return out

@@ -246,8 +246,10 @@ def cmd_profile(args):
 def cmd_simulate(args):
     from .dataio import read_cube
     from .model import load_params
-    from .stream import run_stream
+    from .stream import check_positive, run_stream
 
+    if args.cadence_ms is not None:
+        check_positive("cadence_ms", args.cadence_ms)
     params = load_params(args.model)
     cube = read_cube(args.input)
     _, report = run_stream(cube, params, budget_ms=args.budget_ms)

@@ -100,9 +100,6 @@ class DpsrParams:
         out += self.upsampler.named_tensors("up.")
         return out
 
-    def scalar_count(self):
-        return sum(t.size for _, t in self.named_tensors())
-
     def astype(self, dtype):
         """Copy with every tensor cast to `dtype` (for gradient-check mode)."""
         clone = DpsrParams.zeros(self.config, dtype=dtype)
@@ -135,10 +132,13 @@ def init_stream(params, width, dtype=np.float32):
                             for _, mem in params.clff])
 
 
-def _mem_step(z, mem_params, state, kind):
-    if kind == "mamba":
-        return ssm.mamba_step(z, mem_params, state)
-    return ssm.causalconv_step(z, mem_params, state)
+def _memory(z, mem_params, mstate, kind, whole):
+    # One forward under two names: the whole-image forward enters by
+    # `*_scan` (from the zero state), a stream by `*_step`, so per-layer
+    # timings keep training and streaming memory time apart.
+    if whole:
+        return (ssm.mamba_scan if kind == "mamba" else ssm.causalconv_scan)(z, mem_params)
+    return (ssm.mamba_step if kind == "mamba" else ssm.causalconv_step)(z, mem_params, mstate)
 
 
 def _first_bad_line(a):
@@ -158,6 +158,8 @@ def _forward(x, params, state):
     mutated, so a caller can drop a rejected chunk and go on from it.
     """
     cfg = params.config
+    whole = state is None         # the whole-image forward, from a fresh stream
+    state = init_stream(params, x.shape[1], dtype=x.dtype) if whole else state
     first = state.lines_consumed
     row = _first_bad_line(x.data)
     if row is not None:
@@ -167,7 +169,7 @@ def _forward(x, params, state):
     new_mem = []
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
-        z, mstate = _mem_step(z, mem, mstate, cfg.memory_kind)
+        z, mstate = _memory(z, mem, mstate, cfg.memory_kind, whole)
         # a non-finite latent reaches z through the readout, gate and output
         # projection, so the (L, W, F) output is checked, not the (L, W, N, EF) latent
         row = None if mstate.h is None else _first_bad_line(z.data)
@@ -232,7 +234,7 @@ def dpsr_forward_image(cube_lr, params):
             f"forward_image: expected (H, W, {cfg.bands}), got {x.shape}")
     if x.shape[0] < 2:
         raise ContractError("forward_image needs at least 2 lines")
-    return _forward(x, params, init_stream(params, x.shape[1], dtype=x.dtype))[0]
+    return _forward(x, params, None)[0]
 
 
 # ---------------------------------------------------------------------------

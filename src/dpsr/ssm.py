@@ -2,12 +2,12 @@
 
 One block, one forward: `_forward` takes L >= 1 lines and the state left by
 the lines before them, and returns the L output lines plus the state after
-them. The model enters it through the `*_step` entries for any L: one line
-or a chunk while streaming, the whole sequence from a fresh state while
-training. Folding the step over a sequence and running it over the whole
-sequence therefore share every operation, which is what makes line-by-line
-inference exact rather than an approximation. In 32-bit the two may still
-differ by rounding, since the projections then run over L lines at once.
+them. Its public entries are thin names for it: `*_scan` from the zero
+state (training's whole-image forward), `*_step` from a stream's state (a
+line or a chunk). Folding the step over a sequence and running the scan
+over it share every operation, which makes line-by-line inference exact
+rather than an approximation. In 32-bit the two may still differ by
+rounding, since the projections then run over L lines at once.
 
 The SSM recurrence itself is one op, `tensor.selective_scan`, for any L:
 it advances the latent with in-place array updates rather than a chain of
@@ -116,7 +116,9 @@ class MemoryState:
 
 
 def _forward(z, p, s):
-    """(L, W, F) lines after state `s` -> (L, W, F) Tensor plus the next state."""
+    """(.., W, F) lines after state `s` -> (.., W, F) Tensor plus the next state."""
+    z = T.as_tensor(z)
+    shape, z = z.shape, T.reshape(z, (-1,) + z.shape[-2:])    # (L, W, F)
     if s is None:
         raise ContractError("memory block called without an initialized state")
     if z.shape[-1] != p.in_w.shape[1]:
@@ -135,36 +137,28 @@ def _forward(z, p, s):
                                 p.a_log, Tensor(s.h))
         y = T.add(y, T.mul(p.d_skip, zp))
     gated = T.mul(y, T.silu(T.linear(z, p.gate_w, p.gate_b)))
-    return T.linear(gated, p.out_w, p.out_b), MemoryState(conv_tail=tail, h=h)
+    out = T.reshape(T.linear(gated, p.out_w, p.out_b), shape)
+    return out, MemoryState(conv_tail=tail, h=h)
 
 
-def _lines(z, p, s):
-    """(.., W, F) lines after state `s` -> (.., W, F) Tensor plus the next state."""
-    z = T.as_tensor(z)
-    out, s = _forward(T.reshape(z, (-1,) + z.shape[-2:]), p, s)
-    return T.reshape(out, z.shape), s
-
-
-# Two entry names per memory kind, so that callers and tracers can tell the
-# kinds apart; the params decide whether the SSM runs. The model enters the
-# block through the `*_step` names for any number of lines; the `*_scan`
-# names are the same forward from a fresh state.
+# One entry pair per memory kind, so that callers and tracers can tell the
+# kinds and the two workloads apart; the params decide whether the SSM runs.
 
 def mamba_step(z, p, s):
-    """(.., W, F) lines -> (.., W, F) through the selective block, plus the next state."""
-    return _lines(z, p, s)
+    """(.., W, F) lines after state `s` through the selective block, plus the next state."""
+    return _forward(z, p, s)
 
 
 def causalconv_step(z, p, s):
-    """(.., W, F) lines -> (.., W, F) through the causal-conv ablation, plus the next state."""
-    return _lines(z, p, s)
+    """(.., W, F) lines after state `s` through the causal-conv ablation, plus the next state."""
+    return _forward(z, p, s)
 
 
-def mamba_scan(z_seq, p):
-    """Whole sequence (H, W, F) -> (H, W, F) through the selective block from zero state."""
-    return _lines(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))[0]
+def mamba_scan(z, p):
+    """(.., W, F) lines from the zero state through the selective block, plus the next state."""
+    return _forward(z, p, MemoryState.fresh(p, z.shape[-2], z.dtype))
 
 
-def causalconv_scan(z_seq, p):
-    """Whole sequence (H, W, F) -> (H, W, F) through the ablation from zero state."""
-    return _lines(z_seq, p, MemoryState.fresh(p, z_seq.shape[1], z_seq.dtype))[0]
+def causalconv_scan(z, p):
+    """(.., W, F) lines from the zero state through the ablation, plus the next state."""
+    return _forward(z, p, MemoryState.fresh(p, z.shape[-2], z.dtype))

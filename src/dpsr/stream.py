@@ -19,6 +19,12 @@ from .model import dpsr_step, init_stream
 PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
 
 
+def check_positive(name, value):
+    """ContractError unless `value` > 0; NaN fails too, since NaN > 0 is false."""
+    if not value > 0:
+        raise ContractError(f"{name} must be > 0, got {value}")
+
+
 @dataclass
 class StateAccounting:
     items: list                # (label, bytes)
@@ -86,8 +92,7 @@ class StreamReport:
         and line y-1 is done; it is late if it finishes after line y+1 is
         acquired. The priming line is never counted.
         """
-        if not cadence_ms > 0:
-            raise ContractError(f"cadence_ms must be > 0, got {cadence_ms}")
+        check_positive("cadence_ms", cadence_ms)
         done, late = self.first_line_ms, 0
         for y, ms in enumerate(self.latencies_ms, start=1):
             acquired = y * cadence_ms
@@ -124,8 +129,7 @@ def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
     if cube_lr.bands != cfg.bands:
         raise ContractError(
             f"cube has {cube_lr.bands} bands, model expects {cfg.bands}")
-    if not budget_ms > 0:
-        raise ContractError(f"budget_ms must be > 0, got {budget_ms}")
+    check_positive("budget_ms", budget_ms)
     if cube_lr.height < 2:
         raise ContractError("streaming needs at least 2 lines")
 

@@ -165,9 +165,10 @@ def _val_mpsnr(params, val_cubes, scale):
 def fit(train_cubes, val_cubes, model_config, train_config):
     """Train from scratch; returns (best params, log rows).
 
-    Training uses the whole-image forward (the batch scan path); the loss
-    compares its ((Hp-1)*r)-line output against the matching slice of the
-    HR patch, which is exactly the discard rule.
+    Training uses the whole-image forward, which is the same `model._forward`
+    that streaming runs, from a fresh state; the loss compares its
+    ((Hp-1)*r)-line output against the matching slice of the HR patch,
+    which is exactly the discard rule.
     """
     tc = train_config
     scale = model_config.scale

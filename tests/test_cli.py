@@ -87,6 +87,14 @@ def test_simulate_rejects_non_positive_budget_and_cadence(files, extra):
     assert main(["simulate", *files(), *extra]) == EXIT_CONTRACT
 
 
+@pytest.mark.parametrize("cadence", ["0", "nan"])
+def test_simulate_rejects_the_cadence_before_reading_any_file(tmp_path, cadence):
+    # neither file exists, so a check made after loading would exit with an I/O error
+    argv = ["simulate", "--model", str(tmp_path / "none.dpsrw"),
+            "--in", str(tmp_path / "none.hsc"), "--cadence-ms", cadence]
+    assert main(argv) == EXIT_CONTRACT
+
+
 @pytest.mark.parametrize("budget", ["nan", "-inf", "0"])
 def test_sr_stream_rejects_non_positive_budget(files, tmp_path, budget):
     argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc"), f"--budget-ms={budget}"]

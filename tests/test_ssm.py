@@ -21,7 +21,7 @@ def test_step_fold_equals_scan_float64():
     for line in z:
         out, state = ssm.mamba_step(line, params, state)
         folded.append(out.data)
-    scanned = ssm.mamba_scan(z, params).data
+    scanned = ssm.mamba_scan(z, params)[0].data
     assert np.max(np.abs(np.stack(folded) - scanned)) <= 1e-12
 
 
