@@ -54,43 +54,9 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def copy(self):
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __deepcopy__(self, memo):
         # fresh tid: a copied tensor must never alias tape entries
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x, like=None):
@@ -134,11 +100,12 @@ class Tape:
         return [grads.get(p.tid, np.zeros_like(p.data)) for p in params]
 
 
-def _record(out, inputs, fn):
+def record(out, inputs, fn):
     """Attach a backward closure to `out` if a tape is live.
 
     `fn(g)` must return one gradient array (or None) per input, aligned
-    with `inputs`.
+    with `inputs`. Every op here ends with it, and so does a fused op
+    defined elsewhere (`train.loss_terms`).
     """
     tape = _active_tape()
     if tape is None:
@@ -190,15 +157,7 @@ def add(a, b):
     b = as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
     sa, sb = a.shape, b.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
-
-def sub(a, b):
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    out = Tensor(a.data - b.data)
-    sa, sb = a.shape, b.shape
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), -_unbroadcast(g, sb)))
+    return record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a, b):
@@ -210,25 +169,7 @@ def mul(a, b):
     def fn(g):
         return _unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)
 
-    return _record(out, (a, b), fn)
-
-
-def div(a, b):
-    a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = as_tensor(b, like=a)
-    out = Tensor(a.data / b.data)
-    da, db = a.data, b.data
-
-    def fn(g):
-        return (_unbroadcast(g / db, da.shape),
-                _unbroadcast(-g * da / (db * db), db.shape))
-
-    return _record(out, (a, b), fn)
-
-
-def neg(a):
-    out = Tensor(-a.data)
-    return _record(out, (a,), lambda g: (-g,))
+    return record(out, (a, b), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +179,14 @@ def neg(a):
 def sigmoid(a):
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(s)
-    return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
+    return record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def silu(a):
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(a.data * s)
     da = a.data
-    return _record(out, (a,), lambda g: (g * (s + da * s * (1.0 - s)),))
+    return record(out, (a,), lambda g: (g * (s + da * s * (1.0 - s)),))
 
 
 def softplus(a):
@@ -260,45 +201,13 @@ def softplus(a):
         # sigmoid(x) from the same exp(-|x|), only when a backward runs
         return (g * np.where(x >= 0, 1, e) / (1 + e),)
 
-    return _record(out, (a,), fn)
+    return record(out, (a,), fn)
 
 
 def relu(a):
     out = Tensor(np.maximum(a.data, 0))
     mask = a.data > 0
-    return _record(out, (a,), lambda g: (g * mask,))
-
-
-def exp(a):
-    e = np.exp(a.data)
-    out = Tensor(e)
-    return _record(out, (a,), lambda g: (g * e,))
-
-
-def sqrt(a):
-    r = np.sqrt(a.data)
-    out = Tensor(r)
-    return _record(out, (a,), lambda g: (g * 0.5 / r,))
-
-
-def absolute(a):
-    out = Tensor(np.abs(a.data))
-    s = np.sign(a.data)
-    return _record(out, (a,), lambda g: (g * s,))
-
-
-def clip(a, lo, hi):
-    """Clamp values; gradient passes through only where no clamping occurred."""
-    out = Tensor(np.clip(a.data, lo, hi))
-    mask = (a.data > lo) & (a.data < hi)
-    return _record(out, (a,), lambda g: (g * mask,))
-
-
-def arccos(a):
-    """Inverse cosine. Input must already sit strictly inside (-1, 1)."""
-    out = Tensor(np.arccos(a.data))
-    da = a.data
-    return _record(out, (a,), lambda g: (-g / np.sqrt(1.0 - da * da),))
+    return record(out, (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +224,7 @@ def reduce_sum(a, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _record(out, (a,), fn)
+    return record(out, (a,), fn)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
@@ -338,7 +247,7 @@ def reduce_max(a, axis, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (onehot * gg,)
 
-    return _record(out, (a,), fn)
+    return record(out, (a,), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -348,25 +257,13 @@ def reduce_max(a, axis, keepdims=False):
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
     old = a.shape
-    return _record(out, (a,), lambda g: (g.reshape(old),))
+    return record(out, (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a, axes):
     out = Tensor(a.data.transpose(axes))
     inv = np.argsort(axes)
-    return _record(out, (a,), lambda g: (g.transpose(inv),))
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def fn(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return _record(out, tuple(tensors), fn)
+    return record(out, (a,), lambda g: (g.transpose(inv),))
 
 
 def slice_axis(a, axis, lo, hi):
@@ -382,7 +279,7 @@ def slice_axis(a, axis, lo, hi):
         full[idx] = g
         return (full,)
 
-    return _record(out, (a,), fn)
+    return record(out, (a,), fn)
 
 
 def split_half(a):
@@ -417,7 +314,7 @@ def linear(x, weight, bias=None):
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(out, inputs, fn)
+    return record(out, inputs, fn)
 
 
 def _taps(k, width):
@@ -450,19 +347,37 @@ def _columns(x, k):
     return cols
 
 
+def _fold(z):
+    """Adjoint of `_columns`: (..., W, C, K) -> (..., W, C),
+    out[..., i, c] = sum_j z[..., i-j+K//2, c, j], taps in the padding dropped.
+    """
+    k = z.shape[-1]
+    out = z[..., k // 2].copy()
+    for j, dst, src in _taps(k, z.shape[-3]):
+        if j != k // 2:
+            out[..., src, :] += z[..., dst, :, j]
+    return out
+
+
 def conv1d(x, weight, bias=None):
     """Same-size 1D convolution across the line (axis -2), zero padded.
 
     x: (..., W, Cin), weight: (Cout, Cin, K) with K odd -> (..., W, Cout):
     y[..., i, o] = sum_{c, j} weight[o, c, j] * x[..., i + j - K//2, c].
 
-    The column matrix of x is filled tap by tap and multiplied, all lines at
-    once, in one GEMM against the weight in its stored layout read as
-    (Cout, Cin*K), so the weight is never copied. Under a tape the column
-    matrix is kept for the backward: one GEMM of g against it gives the
-    weight gradient, and one GEMM of g with the weight gives the gradient
-    of the column matrix, whose taps are added back into the input gradient
-    at their column shifts.
+    All lines go through one GEMM, in whichever of two forms has the
+    smaller (rows, channels * K) intermediate:
+
+    - im2col, when Cout >= Cin: the column matrix of x (`_columns`) times
+      the weight in its stored layout read as (Cout, Cin*K), which is never
+      copied. The backward multiplies g by the kept column matrix for the
+      weight gradient, and folds g times the weight back into the input
+      gradient at the taps' shifts (`_fold`).
+    - kn2row, when Cout < Cin: x times the weight read as (Cin, Cout*K)
+      with its taps reversed (a small copy), whose K output slices are
+      folded back at their shifts. The backward is the same pair the other
+      way round: the column matrix of g times that weight gives the input
+      gradient, and x against it the reversed weight gradient.
     """
     cout, cin, k = weight.shape
     if k % 2 != 1:
@@ -470,27 +385,34 @@ def conv1d(x, weight, bias=None):
     if x.shape[-1] != cin:
         raise ShapeError(f"conv1d: input channels {x.shape[-1]} != weight fan-in {cin}")
     xd, wd = x.data, weight.data
-    w2 = wd.reshape(cout, cin * k)
-    cols = _columns(xd, k).reshape(-1, cin * k)
-    y = (cols @ w2.T).reshape(xd.shape[:-1] + (cout,))
+    kn2row = cout < cin
+    if kn2row:
+        wm = wd[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
+        x2 = xd.reshape(-1, cin)
+        y = _fold((x2 @ wm).reshape(xd.shape[:-1] + (cout, k)))
+    else:
+        wm = wd.reshape(cout, cin * k)
+        cols = _columns(xd, k).reshape(-1, cin * k)
+        y = (cols @ wm.T).reshape(xd.shape[:-1] + (cout,))
     if bias is not None:
         y += bias.data
     out = Tensor(y)
 
     def fn(g):
         g2 = g.reshape(-1, cout)
-        gw = (g2.T @ cols).reshape(wd.shape)
-        gcols = (g2 @ w2).reshape(xd.shape + (k,))
-        gx = gcols[..., k // 2].copy()
-        for j, dst, src in _taps(k, xd.shape[-2]):
-            if j != k // 2:
-                gx[..., src, :] += gcols[..., dst, :, j]
+        if kn2row:
+            gcols = _columns(g, k).reshape(-1, cout * k)
+            gx = (gcols @ wm.T).reshape(xd.shape)
+            gw = (x2.T @ gcols).reshape(cin, cout, k)[:, :, ::-1].transpose(1, 0, 2).copy()
+        else:
+            gw = (g2.T @ cols).reshape(wd.shape)
+            gx = _fold((g2 @ wm).reshape(xd.shape + (k,)))
         if bias is not None:
             return gx, gw, g2.sum(axis=0)
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(out, inputs, fn)
+    return record(out, inputs, fn)
 
 
 def depthwise_conv1d(x, weight, bias=None):
@@ -538,7 +460,7 @@ def depthwise_conv1d(x, weight, bias=None):
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(out, inputs, fn)
+    return record(out, inputs, fn)
 
 
 def causal_depthwise_conv(x, history, weight, bias=None):
@@ -578,7 +500,7 @@ def causal_depthwise_conv(x, history, weight, bias=None):
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(out, inputs, fn)
+    return record(out, inputs, fn)
 
 
 # selective_scan works on (columns, N, E) slabs of about this size, which
@@ -661,20 +583,42 @@ def selective_scan(dt, u, b, c, a_log, h0):
         gdt += gdu * ud
         return gdt, gdu * dtd, gb, gc, (ga * at).T, gh
 
-    return _record(out, inputs, fn), h
+    return record(out, inputs, fn), h
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize over the last (feature) axis, then scale and shift."""
+    """Normalize over the last (feature) axis, then scale and shift, as one op.
+
+    y = x_hat * gamma + beta with x_hat = (x - mean) * inv and
+    inv = 1 / sqrt(var + eps). The backward is the closed form
+    gx = inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) with
+    g_hat = g * gamma, the means over the feature axis; gamma and beta get
+    g * x_hat and g summed over every leading axis.
+    """
     if eps <= 0:
         raise ContractError("layer_norm eps must be > 0")
-    if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match the feature axis")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(as_tensor(1.0, like=x), sqrt(add(var, eps)))
-    return add(mul(mul(centered, inv), gamma), beta)
+    gd = gamma.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv = 1 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gd, out=y)
+    y += beta.data
+    out = Tensor(y)
+
+    def fn(g):
+        gxh = g * xhat
+        # row means of g_hat and g_hat * x_hat as matrix-vector products
+        gx = g * gd
+        gx -= (g @ gd)[..., None] / n
+        gx -= xhat * ((gxh @ gd)[..., None] / n)
+        gx *= inv
+        return gx, gxh.reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)
+
+    return record(out, (x, gamma, beta), fn)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
 
 SAM_COS_CLIP = 1e-7   # keeps arccos' gradient finite at collinear spectra
+# first differences along both spatial axes, as (later, earlier) index pairs
+_DIFFS = ((np.s_[1:], np.s_[:-1]), (np.s_[:, 1:], np.s_[:, :-1]))
 
 
 @dataclass
@@ -44,43 +46,68 @@ def loss_terms(pred, target, alpha_s, alpha_g):
     """(total, l1, sam, grad) losses between aligned HR stacks.
 
     pred: Tensor (L, rW, C); target: array-like of the same shape with the
-    discard rule already applied.
+    discard rule already applied. l1 is the mean absolute error; sam the
+    spectral angle in radians summed over pixels and divided by the number
+    of pixels whose two spectra are both nonzero; grad the mean of the
+    along- and across-track mean absolute errors of first differences (no
+    padding). total = l1 + alpha_s * sam + alpha_g * grad.
+
+    total is one tape op on `pred`, whose backward writes one gradient
+    array for all three terms; l1, sam and grad are untaped Tensors. The
+    SAM masks are constant: a pixel with a zero spectrum on either side, or
+    with spectra collinear to within SAM_COS_CLIP, counts as angle 0 (so
+    loss(pred, pred) is 0 rather than arccos rounding) and gets exactly
+    zero SAM gradient, as does a cosine clipped at -1 + SAM_COS_CLIP.
     """
     if pred.size == 0:
         raise ContractError("loss on empty tensors")
-    tgt = T.as_tensor(np.asarray(target, dtype=pred.dtype.type))
-    if pred.shape != tgt.shape:
-        raise ContractError(f"loss: pred {pred.shape} vs target {tgt.shape}")
+    p = pred.data
+    t = np.asarray(target, dtype=p.dtype)
+    if p.shape != t.shape:
+        raise ContractError(f"loss: pred {p.shape} vs target {t.shape}")
 
-    l1 = T.reduce_mean(T.absolute(T.sub(pred, tgt)))
+    e = p - t
+    scratch = np.abs(e)
+    l1 = scratch.mean()
 
-    # spectral-angle term (radians); masks are constant w.r.t. the tape.
-    # Pixels whose spectra are collinear to within the clip margin count as
-    # angle 0 exactly, so loss(pred, pred) is 0 rather than arccos rounding.
-    dot = T.reduce_sum(T.mul(pred, tgt), axis=-1)
-    pn = T.sqrt(T.reduce_sum(T.mul(pred, pred), axis=-1))
-    tn = T.sqrt(T.reduce_sum(T.mul(tgt, tgt), axis=-1))
-    ok = (pn.data > 0) & (tn.data > 0)
-    denom = T.add(T.mul(pn, tn), Tensor((~ok).astype(pred.dtype)))
-    cosang = T.div(dot, denom)
-    keep = ok & (cosang.data < 1.0 - SAM_COS_CLIP)
-    mask = Tensor(keep.astype(pred.dtype))
-    safe = T.clip(cosang, -1.0 + SAM_COS_CLIP, 1.0 - SAM_COS_CLIP)
-    angles = T.mul(T.arccos(safe), mask)
+    pn = np.sqrt(np.einsum("...c,...c->...", p, p))
+    tn = np.sqrt(np.einsum("...c,...c->...", t, t))
+    ok = (pn > 0) & (tn > 0)
+    pn, tn = np.where(ok, pn, 1), np.where(ok, tn, 1)
+    cos = np.einsum("...c,...c->...", p, t) / (pn * tn)
+    keep = ok & (cos < 1 - SAM_COS_CLIP)
+    safe = np.clip(cos, -1 + SAM_COS_CLIP, 1 - SAM_COS_CLIP)
     count = max(int(ok.sum()), 1)
-    sam = T.mul(T.reduce_sum(angles), 1.0 / count)
+    sam = np.where(keep, np.arccos(safe), 0).sum() / count
 
-    # first differences along both spatial axes, no padding
-    def diff(t, axis):
-        n = t.shape[axis]
-        return T.sub(T.slice_axis(t, axis, 1, n), T.slice_axis(t, axis, 0, n - 1))
+    grad = 0
+    for later, earlier in _DIFFS:
+        d = np.subtract(e[later], e[earlier], out=scratch[earlier])
+        grad += np.abs(d, out=d).mean()
+    grad *= 0.5
 
-    g_along = T.reduce_mean(T.absolute(T.sub(diff(pred, 0), diff(tgt, 0))))
-    g_across = T.reduce_mean(T.absolute(T.sub(diff(pred, 1), diff(tgt, 1))))
-    grad = T.mul(T.add(g_along, g_across), 0.5)
+    total = Tensor(np.asarray(l1 + (sam * alpha_s + grad * alpha_g), dtype=p.dtype))
 
-    total = T.add(l1, T.add(T.mul(sam, alpha_s), T.mul(grad, alpha_g)))
-    return total, l1, sam, grad
+    def fn(g):
+        gp = np.sign(e)
+        gp *= 1 / e.size
+        # d angle / d cos on the pixels the masks and the clip pass
+        dang = np.where(keep & (cos > -1 + SAM_COS_CLIP),
+                        -1 / np.sqrt(1 - safe * safe), 0) * (alpha_s / count)
+        tmp = np.multiply((dang / (pn * tn))[..., None], t)
+        gp += tmp
+        gp -= np.multiply((dang * cos / (pn * pn))[..., None], p, out=tmp)
+        for later, earlier in _DIFFS:
+            s = np.subtract(e[later], e[earlier], out=tmp[earlier])
+            np.sign(s, out=s)
+            s *= alpha_g * 0.5 / s.size
+            gp[later] += s
+            gp[earlier] -= s
+        gp *= g
+        return (gp,)
+
+    parts = (Tensor(np.asarray(v, dtype=p.dtype)) for v in (l1, sam, grad))
+    return (T.record(total, (pred,), fn), *parts)
 
 
 def loss(pred, target, alpha_s, alpha_g):

@@ -1,0 +1,72 @@
+"""The training loss: value, gradient and its masks."""
+
+import numpy as np
+import pytest
+
+from dpsr import train
+from dpsr.tensor import Tape, Tensor, grad_check
+
+ALPHA_S, ALPHA_G = 0.3, 0.1
+
+
+def loss_inputs(seed=0):
+    """(6, 8, 5) positive float64 pred and target with one zero-norm target
+    pixel and one pixel whose spectra are collinear."""
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.1, 1.0, (6, 8, 5))
+    target = rng.uniform(0.1, 1.0, (6, 8, 5))
+    target[1, 2] = 0.0
+    pred[4, 5] = 2.0 * target[4, 5]
+    return pred, target
+
+
+def numpy_loss(p, t, alpha_s, alpha_g):
+    """(total, l1, sam, grad) written out directly."""
+    l1 = np.mean(np.abs(p - t))
+    angles, count = [], 0
+    for y, x in np.ndindex(p.shape[:2]):
+        a, b = p[y, x], t[y, x]
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na == 0 or nb == 0:
+            continue
+        count += 1
+        cos = a @ b / (na * nb)
+        angles.append(0.0 if cos >= 1 - train.SAM_COS_CLIP else np.arccos(cos))
+    sam = sum(angles) / max(count, 1)
+    along = np.mean(np.abs((p[1:] - p[:-1]) - (t[1:] - t[:-1])))
+    across = np.mean(np.abs((p[:, 1:] - p[:, :-1]) - (t[:, 1:] - t[:, :-1])))
+    grad = 0.5 * (along + across)
+    return l1 + alpha_s * sam + alpha_g * grad, l1, sam, grad
+
+
+def test_loss_terms_match_numpy_formula():
+    pred, target = loss_inputs()
+    got = [v.item() for v in train.loss_terms(Tensor(pred), target, ALPHA_S, ALPHA_G)]
+    want = numpy_loss(pred, target, ALPHA_S, ALPHA_G)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    total, l1, sam, grad = got
+    assert total == pytest.approx(l1 + ALPHA_S * sam + ALPHA_G * grad, rel=1e-15, abs=0)
+
+
+def test_loss_terms_gradient():
+    pred, target = loss_inputs(1)
+    p = Tensor(pred, requires_grad=True)
+    err = grad_check(lambda: train.loss_terms(p, target, ALPHA_S, ALPHA_G)[0], [p])
+    assert err < 1e-6
+
+
+def test_zero_norm_predicted_pixel_gets_a_finite_gradient():
+    # the SAM masks drop the pixel, so its SAM gradient is exactly zero
+    pred, target = loss_inputs(2)
+    pred[2, 3] = 0.0
+    p = Tensor(pred, requires_grad=True)
+
+    def gradient(alpha_s):
+        with np.errstate(all="raise"):
+            with Tape() as tape:
+                total = train.loss_terms(p, target, alpha_s, ALPHA_G)[0]
+            return tape.gradients(total, [p])[0]
+
+    with_sam = gradient(ALPHA_S)
+    assert np.all(np.isfinite(with_sam))
+    assert np.array_equal(with_sam[2, 3], gradient(0.0)[2, 3])
