@@ -4,34 +4,34 @@ Subcommands: make-synth, degrade, train, sr-stream, eval, profile,
 simulate. Every run drops a manifest next to its outputs with the resolved
 configuration, so results can be reproduced from the artifacts alone.
 
-Exit codes: 0 ok, 1 numeric failure, 2 I/O failure, 3 contract violation,
-4 config parse failure.
+The model flags (`--state-size` etc.) and the keys of the model and
+training key=value files come from the fields of `DpsrConfig` and
+`TrainConfig`, so each field is declared once.
+
+Exit codes: 0 ok, 1 numeric failure, 2 I/O failure, 3 contract violation
+(including a non-positive size, factor, budget or cadence), 4 config parse
+failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, NumericError, check_positive
+from .model import MEMORY_KINDS, DpsrConfig
 from .stream import PRISMA_LINE_MS
+from .train import TrainConfig
 
 EXIT_NUMERIC = 1
 EXIT_IO = 2
 EXIT_CONTRACT = 3
 EXIT_CONFIG = 4
 
-MODEL_KEYS = {
-    "bands": int, "features": int, "expand": int, "state_size": int,
-    "kernel_lines": int, "up_features": int, "scale": int, "n_clff": int,
-    "memory_kind": str, "ca_reduction": int,
-}
-TRAIN_KEYS = {
-    "lr": float, "alpha_s": float, "alpha_g": float, "batch_size": int,
-    "max_steps": int, "patch": int, "seed": int, "eval_every": int,
-    "patience": int,
-}
+MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(DpsrConfig)}
+TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 
 
 def parse_config_file(path, schema):
@@ -72,14 +72,18 @@ def write_manifest(out_dir, command, args_ns, resolved, config_path=None):
     return path
 
 
-def _model_config(args, file_values):
-    from .model import DpsrConfig
-
+def _merge_flags(file_values, args, schema):
+    """Config file values, overridden by every flag of `schema` that was given."""
     merged = dict(file_values)
-    for key in MODEL_KEYS:
+    for key in schema:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    return merged
+
+
+def _model_config(args, file_values):
+    merged = _merge_flags(file_values, args, MODEL_KEYS)
     if "bands" not in merged:
         raise ConfigError("model config needs at least 'bands'")
     return DpsrConfig(**merged)
@@ -87,22 +91,16 @@ def _model_config(args, file_values):
 
 def _add_model_flags(sub):
     sub.add_argument("--config", help="key=value model config file")
-    sub.add_argument("--bands", type=int)
-    sub.add_argument("--features", type=int)
-    sub.add_argument("--expand", type=int)
-    sub.add_argument("--state-size", dest="state_size", type=int)
-    sub.add_argument("--kernel-lines", dest="kernel_lines", type=int)
-    sub.add_argument("--up-features", dest="up_features", type=int)
-    sub.add_argument("--scale", type=int)
-    sub.add_argument("--n-clff", dest="n_clff", type=int)
-    sub.add_argument("--memory-kind", dest="memory_kind",
-                     choices=("mamba", "causalconv"))
-    sub.add_argument("--ca-reduction", dest="ca_reduction", type=int)
+    for key, kind in MODEL_KEYS.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                         choices=MEMORY_KINDS if key == "memory_kind" else None)
 
 
 def cmd_make_synth(args):
     from .dataio import make_synthetic, write_cube
 
+    for name in ("count", "height", "width", "bands"):
+        check_positive(name, getattr(args, name))
     os.makedirs(args.out_dir, exist_ok=True)
     probe = os.path.join(args.out_dir, ".write_probe")
     try:
@@ -154,20 +152,12 @@ def _load_cubes(directory):
 
 def cmd_train(args):
     from .model import save_params
-    from .train import TrainConfig, fit, write_log
+    from .train import fit, write_log
 
     file_values = parse_config_file(args.config, MODEL_KEYS) if args.config else {}
     mcfg = _model_config(args, file_values)
     tfile = parse_config_file(args.train_config, TRAIN_KEYS) if args.train_config else {}
-    if args.seed is not None:
-        tfile["seed"] = args.seed
-    if args.steps is not None:
-        tfile["max_steps"] = args.steps
-    if args.lr is not None:
-        tfile["lr"] = args.lr
-    if args.patch is not None:
-        tfile["patch"] = args.patch
-    tcfg = TrainConfig(**tfile)
+    tcfg = TrainConfig(**_merge_flags(tfile, args, TRAIN_KEYS))
 
     train_cubes = _load_cubes(args.data_dir)
     val_cubes = _load_cubes(args.val_dir) if args.val_dir else []
@@ -177,8 +167,7 @@ def cmd_train(args):
     write_log(log, log_path)
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    resolved = {**{k: getattr(mcfg, k) for k in MODEL_KEYS},
-                **{k: getattr(tcfg, k) for k in TRAIN_KEYS},
+    resolved = {**dataclasses.asdict(mcfg), **dataclasses.asdict(tcfg),
                 "_inputs": [args.data_dir, args.val_dir or ""],
                 "_outputs": [args.out, log_path]}
     write_manifest(out_dir, "train", args, resolved, args.config)
@@ -246,7 +235,7 @@ def cmd_profile(args):
 def cmd_simulate(args):
     from .dataio import read_cube
     from .model import load_params
-    from .stream import check_positive, run_stream
+    from .stream import run_stream
 
     if args.cadence_ms is not None:
         check_positive("cadence_ms", args.cadence_ms)
@@ -292,7 +281,7 @@ def build_parser():
     s.add_argument("--val-dir")
     s.add_argument("--out", required=True, help="output model container")
     s.add_argument("--seed", type=int)
-    s.add_argument("--steps", type=int)
+    s.add_argument("--steps", dest="max_steps", type=int, metavar="STEPS")
     s.add_argument("--lr", type=float)
     s.add_argument("--patch", type=int)
     s.set_defaults(func=cmd_train)

@@ -1,4 +1,4 @@
-"""Hyperspectral cube container, bicubic degradation, synthetic scenes.
+"""Hyperspectral cube container, bicubic decimation, synthetic scenes.
 
 Cubes are (H, W, C) float32 in [0, 1] with a per-band validity mask. On
 disk they are stored band-interleaved-by-line (BIL): for each line, for
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_positive, read_exact
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -65,70 +65,29 @@ def write_cube(cube, path):
         fh.write(cube.data.transpose(0, 2, 1).astype("<f4").tobytes())
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated cube file while reading {what}")
-    return buf
-
-
 def read_cube(path):
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != CUBE_MAGIC:
             raise FormatError(f"bad magic {magic!r}; not a cube file")
-        version, = struct.unpack("<H", _read_exact(fh, 2, "version"))
+        version, = struct.unpack("<H", read_exact(fh, 2, "version"))
         if version != CUBE_VERSION:
             raise FormatError(f"unsupported cube version {version}")
-        h, w, c = struct.unpack("<3I", _read_exact(fh, 12, "extents"))
-        flags, = struct.unpack("<B", _read_exact(fh, 1, "flags"))
+        h, w, c = struct.unpack("<3I", read_exact(fh, 12, "extents"))
+        flags, = struct.unpack("<B", read_exact(fh, 1, "flags"))
         band_valid = np.ones(c, dtype=bool)
         if flags & _FLAG_MASK:
-            band_valid = np.frombuffer(_read_exact(fh, c, "band mask"),
+            band_valid = np.frombuffer(read_exact(fh, c, "band mask"),
                                        dtype=np.uint8).astype(bool)
-        payload = _read_exact(fh, 4 * h * w * c, "payload")
+        payload = read_exact(fh, 4 * h * w * c, "payload")
         if fh.read(1):
             raise FormatError("trailing bytes after the payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(h, c, w).transpose(0, 2, 1)
     return HsiCube(data=data, band_valid=band_valid)
 
 
-def import_raw(raw_path, header_path):
-    """Ingest a flat float32 raw cube with a plain-text sidecar header.
-
-    The header carries `height`, `width`, `bands` and `interleave`
-    (bil or bsq), one key=value per line.
-    """
-    keys = {}
-    with open(header_path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            if "=" not in ln:
-                raise FormatError(f"sidecar header line not key=value: {ln!r}")
-            k, v = ln.split("=", 1)
-            keys[k.strip()] = v.strip()
-    try:
-        h, w, c = int(keys["height"]), int(keys["width"]), int(keys["bands"])
-        interleave = keys["interleave"].lower()
-    except KeyError as e:
-        raise FormatError(f"sidecar header missing key {e}") from e
-    raw = np.fromfile(raw_path, dtype="<f4")
-    if raw.size != h * w * c:
-        raise FormatError(
-            f"raw payload has {raw.size} floats, header implies {h * w * c}")
-    if interleave == "bil":
-        data = raw.reshape(h, c, w).transpose(0, 2, 1)
-    elif interleave == "bsq":
-        data = raw.reshape(c, h, w).transpose(1, 2, 0)
-    else:
-        raise FormatError(f"unknown interleave {interleave!r} (expected bil or bsq)")
-    return HsiCube(data=data)
-
-
 # ---------------------------------------------------------------------------
-# bicubic resampling (Catmull-Rom, a = -0.5, half-pixel phase)
+# bicubic decimation (Catmull-Rom, a = -0.5, half-pixel phase)
 
 
 def catmull_rom(t):
@@ -151,59 +110,45 @@ def _reflect_index(i, n):
     return np.where(i >= n, period - 1 - i, i)
 
 
-def resample_matrix(n_in, factor, down):
-    """Dense 1D resampling operator (n_out, n_in) for one axis.
+def resample_matrix(n_in, factor):
+    """Dense antialiased decimation operator (n_in // factor, n_in) for one axis.
 
-    Output sample o is taken at input coordinate (o+0.5)*factor-0.5 when
-    downsampling (kernel stretched by the factor, weights renormalized:
-    the standard antialiased convention) and (o+0.5)/factor-0.5 when
-    upsampling (plain kernel). Boundaries reflect symmetrically.
+    Output sample o is taken at input coordinate (o+0.5)*factor-0.5 with the
+    kernel stretched by the factor and the weights renormalized (the standard
+    antialiased convention). Boundaries reflect symmetrically.
     """
     r = int(factor)
-    if down:
-        n_out = n_in // r
-        centers = (np.arange(n_out) + 0.5) * r - 0.5
-        radius, scale = 2 * r, r
-    else:
-        n_out = n_in * r
-        centers = (np.arange(n_out) + 0.5) / r - 0.5
-        radius, scale = 2, 1
+    n_out = n_in // r
+    centers = (np.arange(n_out) + 0.5) * r - 0.5
     mat = np.zeros((n_out, n_in), dtype=np.float64)
     for o, x in enumerate(centers):
-        lo = int(np.ceil(x - radius))
-        taps = np.arange(lo, int(np.floor(x + radius)) + 1)
-        wts = catmull_rom((x - taps) / scale)
+        taps = np.arange(int(np.ceil(x - 2 * r)), int(np.floor(x + 2 * r)) + 1)
+        wts = catmull_rom((x - taps) / r)
         wts = wts / wts.sum()
         np.add.at(mat[o], _reflect_index(taps, n_in), wts)
     return mat
 
 
-def _resample_cube(cube, r, down):
-    h, w, _ = cube.data.shape
-    my = resample_matrix(h, r, down)
-    mx = resample_matrix(w, r, down)
+def bicubic_downsample(cube, r):
+    """Antialiased bicubic decimation by an integer factor, per band."""
+    check_positive("factor", r)
+    r = int(r)
+    if cube.height % r or cube.width % r:
+        raise ContractError(
+            f"extents {cube.height}x{cube.width} not divisible by factor {r}")
+    my = resample_matrix(cube.height, r)
+    mx = resample_matrix(cube.width, r)
     out = np.einsum("yh,hwc,xw->yxc", my, cube.data.astype(np.float64), mx,
                     optimize=True)
     return HsiCube(data=np.clip(out, 0.0, 1.0).astype(np.float32),
                    band_valid=cube.band_valid.copy())
 
 
-def bicubic_downsample(cube, r):
-    """Antialiased bicubic decimation by an integer factor, per band."""
-    r = int(r)
-    if cube.height % r or cube.width % r:
-        raise ContractError(
-            f"extents {cube.height}x{cube.width} not divisible by factor {r}")
-    return _resample_cube(cube, r, down=True)
-
-
-def bicubic_upsample(cube, r):
-    """Bicubic interpolation by an integer factor, per band."""
-    return _resample_cube(cube, int(r), down=False)
-
-
 # ---------------------------------------------------------------------------
 # synthetic scenes
+
+SYNTH_RANK = 3          # endmembers mixed per scene
+SYNTH_CONTRAST = 2.0    # softmax sharpness of the abundance fields
 
 
 def _band_limited_field(rng, h, w, smoothness):
@@ -233,15 +178,14 @@ def _endmember_spectra(rng, rank, bands):
     return spectra
 
 
-def make_synthetic(seed, height, width, bands, smoothness=3.0, rank=3,
-                   contrast=2.0):
+def make_synthetic(seed, height, width, bands, smoothness=3.0):
     """Deterministic synthetic scene: low-rank endmember mixing over
     band-limited abundance fields, clipped to [0, 1]."""
     rng = np.random.default_rng(seed)
-    spectra = _endmember_spectra(rng, rank, bands)
+    spectra = _endmember_spectra(rng, SYNTH_RANK, bands)
     fields = np.stack([_band_limited_field(rng, height, width, smoothness)
-                       for _ in range(rank)])
-    logits = contrast * fields
+                       for _ in range(SYNTH_RANK)])
+    logits = SYNTH_CONTRAST * fields
     logits -= logits.max(axis=0, keepdims=True)
     ab = np.exp(logits)
     ab /= ab.sum(axis=0, keepdims=True)
@@ -268,12 +212,11 @@ def augment8(cube):
     return out
 
 
-def extract_patches(cube, size, stride=None):
-    """Non-overlapping (or strided) square spatial patches."""
-    stride = stride or size
+def extract_patches(cube, size):
+    """Non-overlapping square spatial patches."""
     out = []
-    for y in range(0, cube.height - size + 1, stride):
-        for x in range(0, cube.width - size + 1, stride):
+    for y in range(0, cube.height - size + 1, size):
+        for x in range(0, cube.width - size + 1, size):
             out.append(HsiCube(data=cube.data[y:y + size, x:x + size].copy(),
                                band_valid=cube.band_valid.copy()))
     return out

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import HsiCube, bicubic_downsample, bicubic_upsample
-from .errors import ContractError
+from .errors import ContractError, check_positive
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -120,6 +119,7 @@ def evaluate(pred, ref, r):
     starts at high-res line 0 and simply never covers the last r lines, so
     alignment just crops the reference tail.
     """
+    check_positive("r", r)
     r = int(r)
     if pred.height + r != ref.height:
         raise ContractError(
@@ -154,13 +154,3 @@ def evaluate(pred, ref, r):
         lines_discarded=r,
         sam_pixels_skipped=skipped,
     )
-
-
-def baseline_bicubic(cube_hr, r):
-    """Down- then upsample the ground truth and score it under the same
-    discard protocol as the streaming model."""
-    r = int(r)
-    up = bicubic_upsample(bicubic_downsample(cube_hr, r), r)
-    pred = HsiCube(data=up.data[:cube_hr.height - r],
-                   band_valid=up.band_valid)
-    return evaluate(pred, cube_hr, r)

@@ -23,7 +23,7 @@ import numpy as np
 from . import ssm, tensor as T
 from .blocks import (NafParams, SfeParams, UpsamplerParams, bilinear_two_line,
                      naf_forward, sfe_forward, upsample_line)
-from .errors import ContractError, FormatError, NumericError
+from .errors import ContractError, FormatError, NumericError, read_exact
 from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
@@ -99,13 +99,6 @@ class DpsrParams:
             out += mem.named_tensors(f"clff{i}.mem.")
         out += self.upsampler.named_tensors("up.")
         return out
-
-    def astype(self, dtype):
-        """Copy with every tensor cast to `dtype` (for gradient-check mode)."""
-        clone = DpsrParams.zeros(self.config, dtype=dtype)
-        for (_, dst), (_, src) in zip(clone.named_tensors(), self.named_tensors()):
-            dst.data[...] = src.data.astype(dtype)
-        return clone
 
 
 @dataclass
@@ -259,21 +252,14 @@ def save_params(params, path):
             _write_tensor(fh, t.data)
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated parameter file while reading {what}")
-    return buf
-
-
 def load_params(path):
     with open(path, "rb") as fh:
         data = fh.read()
     fh = io.BytesIO(data)
-    magic = _read_exact(fh, len(MAGIC), "magic")
+    magic = read_exact(fh, len(MAGIC), "magic")
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}; not a model container")
-    fields = struct.unpack("<10I", _read_exact(fh, 40, "config header"))
+    fields = struct.unpack("<10I", read_exact(fh, 40, "config header"))
     kind_idx = fields[8]
     if kind_idx >= len(MEMORY_KINDS):
         raise FormatError(f"unknown memory kind index {kind_idx}")
@@ -286,14 +272,14 @@ def load_params(path):
         raise FormatError(f"invalid config header: {e}") from e
     params = DpsrParams.zeros(cfg)
     for name, t in params.named_tensors():
-        ndim, = struct.unpack("<I", _read_exact(fh, 4, f"{name} rank"))
+        ndim, = struct.unpack("<I", read_exact(fh, 4, f"{name} rank"))
         if ndim != t.data.ndim:
             raise FormatError(f"{name}: rank {ndim} does not match config shape")
-        shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"{name} shape"))
+        shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, f"{name} shape"))
         if shape != t.data.shape:
             raise FormatError(
                 f"{name}: stored shape {shape} does not match config shape {t.data.shape}")
-        raw = _read_exact(fh, 4 * t.data.size, f"{name} payload")
+        raw = read_exact(fh, 4 * t.data.size, f"{name} payload")
         t.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if fh.read(1):
         raise FormatError("trailing bytes after the last tensor")

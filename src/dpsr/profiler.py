@@ -13,6 +13,7 @@ Counts are derived from shapes, never measured. Conventions:
 from dataclasses import dataclass
 
 from .blocks import attention_hidden
+from .errors import check_positive
 from .stream import account_state_bytes
 
 SILU_FLOPS = 5     # sigmoid (exp, add, div, ~1 aux) + multiply
@@ -157,6 +158,7 @@ def _upsampler_items(cfg, w):
 
 def profile(config, width=32):
     """Symbolic walk of the architecture for one input line of `width` px."""
+    check_positive("width", width)
     items = _sfe_items(config, width)
     for i in range(config.n_clff):
         items += _naf_items(config, width, f"clff{i}.naf")

@@ -13,16 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import HsiCube
-from .errors import ContractError
+from .errors import ContractError, check_positive
 from .model import dpsr_step, init_stream
 
 PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
-
-
-def check_positive(name, value):
-    """ContractError unless `value` > 0; NaN fails too, since NaN > 0 is false."""
-    if not value > 0:
-        raise ContractError(f"{name} must be > 0, got {value}")
+STATE_SCALAR_BYTES = 4         # the stream state is float32
 
 
 @dataclass
@@ -36,7 +31,7 @@ class StateAccounting:
         return "\n".join(lines)
 
 
-def account_state_bytes(config, width, bytes_per_scalar=4):
+def account_state_bytes(config, width):
     """Exact streaming-state footprint for a given line width.
 
     Per memory block: the (K-1)*W*EF conv tail (the causal conv's history
@@ -46,23 +41,29 @@ def account_state_bytes(config, width, bytes_per_scalar=4):
     w, ef = int(width), config.inner
     items = []
     for i in range(config.n_clff):
-        conv = (config.kernel_lines - 1) * w * ef * bytes_per_scalar
+        conv = (config.kernel_lines - 1) * w * ef * STATE_SCALAR_BYTES
         items.append((f"clff{i}.conv_tail[(K-1)xWxEF]", conv))
         if config.memory_kind == "mamba":
-            latent = w * ef * config.state_size * bytes_per_scalar
+            latent = w * ef * config.state_size * STATE_SCALAR_BYTES
             items.append((f"clff{i}.ssm_latent[WxNxEF]", latent))
-    items.append(("prev_line[WxC]", w * config.bands * bytes_per_scalar))
+    items.append(("prev_line[WxC]", w * config.bands * STATE_SCALAR_BYTES))
     return StateAccounting(items=items, total_bytes=sum(b for _, b in items))
 
 
 @dataclass
 class StreamReport:
     budget_ms: float
-    lines_processed: int
     first_line_ms: float
     latencies_ms: list = field(default_factory=list)   # lines 1..H-1
     state_bytes_per_line: list = field(default_factory=list)
-    deadline_misses: int = 0
+
+    @property
+    def lines_processed(self):
+        return len(self.latencies_ms) + 1
+
+    @property
+    def deadline_misses(self):
+        return sum(t > self.budget_ms for t in self.latencies_ms)
 
     @property
     def mean_ms(self):
@@ -79,11 +80,6 @@ class StreamReport:
     @property
     def state_bytes(self):
         return self.state_bytes_per_line[-1] if self.state_bytes_per_line else 0
-
-    def count_misses(self, budget_ms=None):
-        """Deadline misses for a given budget over the recorded trace."""
-        budget = self.budget_ms if budget_ms is None else budget_ms
-        return int(sum(1 for t in self.latencies_ms if t > budget))
 
     def count_late(self, cadence_ms):
         """Lines finished after the next acquisition on a fixed-cadence timeline.
@@ -136,7 +132,7 @@ def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
     state = init_stream(params, cube_lr.width)
     out = np.empty(((cube_lr.height - 1) * cfg.scale,
                     cube_lr.width * cfg.scale, cfg.bands), dtype=np.float32)
-    report = StreamReport(budget_ms=budget_ms, lines_processed=0, first_line_ms=0.0)
+    report = StreamReport(budget_ms=budget_ms, first_line_ms=0.0)
 
     for y in range(cube_lr.height):
         t0 = time.perf_counter()
@@ -148,7 +144,5 @@ def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
             report.latencies_ms.append(elapsed_ms)
             out[(y - 1) * cfg.scale: y * cfg.scale] = sr
         report.state_bytes_per_line.append(state.nbytes())
-        report.lines_processed += 1
 
-    report.deadline_misses = report.count_misses()
     return HsiCube(data=out, band_valid=cube_lr.band_valid.copy()), report

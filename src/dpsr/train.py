@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import HsiCube, augment8, bicubic_downsample, extract_patches
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, check_positive
 from .metrics import evaluate
 from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
@@ -40,6 +40,8 @@ class TrainConfig:
             raise ContractError("lr must be >= 0")
         if self.alpha_s < 0 or self.alpha_g < 0:
             raise ContractError("loss weights must be >= 0")
+        for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
+            check_positive(name, getattr(self, name))
 
 
 def loss_terms(pred, target, alpha_s, alpha_g):

@@ -1,5 +1,6 @@
 """Command-line parser defaults, exit codes and the DPSR_THREADS cap."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import dpsr
-from dpsr.cli import EXIT_CONTRACT, build_parser, main
+from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, build_parser, main
 from dpsr.dataio import HsiCube, write_cube
 from dpsr.model import DpsrConfig, DpsrParams, save_params
 from dpsr.stream import PRISMA_LINE_MS
@@ -105,3 +106,104 @@ def test_sr_stream_rejects_non_positive_budget(files, tmp_path, budget):
 def test_sr_stream_rejects_a_non_finite_line(files, tmp_path, capsys, bad):
     assert main(["sr-stream", *files(bad), "--out", str(tmp_path / "sr.hsc")]) == EXIT_CONTRACT
     assert "non-finite input at line 3" in capsys.readouterr().err
+
+
+MODEL_FILE = """# model
+bands = 4
+features = 6          # overridden by --features
+state_size = 4
+up_features = 4
+memory_kind = causalconv
+"""
+TRAIN_FILE = """batch_size = 1
+max_steps = 50        # overridden by --steps
+eval_every = 1
+patience = 3
+alpha_s = 0.2
+"""
+
+
+@pytest.fixture
+def synth(tmp_path):
+    """Two 32x32x4 synthetic cubes in tmp_path/data, plus the key=value files."""
+    data = tmp_path / "data"
+    assert main(["make-synth", "--out-dir", str(data), "--count", "2", "--seed", "5",
+                 "--height", "32", "--width", "32", "--bands", "4"]) == 0
+    (tmp_path / "model.cfg").write_text(MODEL_FILE)
+    (tmp_path / "train.cfg").write_text(TRAIN_FILE)
+    return tmp_path
+
+
+def train_argv(root, *extra):
+    return ["train", "--config", str(root / "model.cfg"),
+            "--train-config", str(root / "train.cfg"),
+            "--data-dir", str(root / "data"), "--val-dir", str(root / "data"),
+            "--out", str(root / "out" / "m.dpsrw"), *extra]
+
+
+def test_pipeline_end_to_end(synth, capsys):
+    hr, lr, sr = synth / "data" / "synth_00005.hsc", synth / "lr" / "lr.hsc", synth / "sr.hsc"
+    (synth / "lr").mkdir()
+    (synth / "out").mkdir()
+    assert main(["degrade", "--in", str(hr), "--out", str(lr), "--factor", "4"]) == 0
+    assert main(train_argv(synth, "--steps", "2", "--seed", "7", "--lr", "1e-3",
+                           "--patch", "16", "--features", "8", "--memory-kind", "mamba")) == 0
+    manifest = json.loads((synth / "out" / "train.manifest.json").read_text())
+    assert manifest["resolved_config"] == {
+        "bands": 4, "features": 8, "expand": 1, "state_size": 4, "kernel_lines": 4,
+        "up_features": 4, "scale": 4, "n_clff": 2, "memory_kind": "mamba",
+        "ca_reduction": 16, "lr": 1e-3, "alpha_s": 0.2, "alpha_g": 0.1,
+        "batch_size": 1, "max_steps": 2, "patch": 16, "seed": 7, "eval_every": 1,
+        "patience": 3,
+    }
+    assert len((synth / "out" / "m.dpsrw.log.csv").read_text().splitlines()) == 1 + 2
+    model = str(synth / "out" / "m.dpsrw")
+    assert main(["sr-stream", "--model", model, "--in", str(lr), "--out", str(sr),
+                 "--report", str(synth / "lines.csv")]) == 0
+    assert len((synth / "lines.csv").read_text().splitlines()) == 1 + 8
+    assert main(["eval", "--pred", str(sr), "--ref", str(hr), "--factor", "4",
+                 "--csv", str(synth / "eval.csv")]) == 0
+    assert len((synth / "eval.csv").read_text().splitlines()) == 2
+    capsys.readouterr()
+    assert main(["profile", "--config", str(synth / "model.cfg"), "--features", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("8,4,4,causalconv,")
+
+
+@pytest.mark.parametrize("which", ["model.cfg", "train.cfg"])
+def test_unknown_config_key_exits_config(synth, capsys, which):
+    with open(synth / which, "a", encoding="utf-8") as fh:
+        fh.write("bogus = 1\n")
+    assert main(train_argv(synth, "--steps", "1")) == EXIT_CONFIG
+    assert "unknown key 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", ["0", "-2"])
+def test_degrade_rejects_a_non_positive_factor(synth, factor):
+    argv = ["degrade", "--in", str(synth / "data" / "synth_00005.hsc"),
+            "--out", str(synth / "lr.hsc"), f"--factor={factor}"]
+    assert main(argv) == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("key", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
+def test_train_rejects_a_non_positive_size(synth, key):
+    with open(synth / "train.cfg", "a", encoding="utf-8") as fh:
+        fh.write(f"{key} = 0\n")
+    (synth / "out").mkdir()
+    assert main(train_argv(synth)) == EXIT_CONTRACT
+    assert not (synth / "out" / "m.dpsrw").exists()
+
+
+def test_eval_rejects_a_zero_factor(synth):
+    hr = str(synth / "data" / "synth_00005.hsc")
+    assert main(["eval", "--pred", hr, "--ref", hr, "--factor", "0"]) == EXIT_CONTRACT
+
+
+@pytest.mark.parametrize("flag", ["--count", "--height", "--width", "--bands"])
+def test_make_synth_rejects_a_non_positive_size(tmp_path, flag):
+    assert main(["make-synth", "--out-dir", str(tmp_path / "d"), f"{flag}=0"]) == EXIT_CONTRACT
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_profile_rejects_a_non_positive_width(width):
+    assert main(["profile", "--bands", "4", f"--width={width}"]) == EXIT_CONTRACT

@@ -23,6 +23,14 @@ def small_config(kind, **kw):
                       memory_kind=kind, **kw)
 
 
+def astype(params, dtype):
+    """Copy with every tensor cast to `dtype` (for gradient-check mode)."""
+    clone = DpsrParams.zeros(params.config, dtype=dtype)
+    for (_, dst), (_, src) in zip(clone.named_tensors(), params.named_tensors()):
+        dst.data[...] = src.data.astype(dtype)
+    return clone
+
+
 @pytest.fixture
 def saved(tmp_path):
     def save(kind):
@@ -93,7 +101,7 @@ def fold_steps(cube, params, chunk=1):
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
     params = DpsrParams.init(small_config(kind, kernel_lines=kernel_lines), seed=1)
-    params = params.astype(dtype)
+    params = astype(params, dtype)
     cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
     streamed, state = fold_steps(cube, params)
     whole = dpsr_forward_image(cube, params).data
@@ -105,7 +113,7 @@ def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
 
 def test_non_finite_latent_names_block_and_line():
     params = DpsrParams.init(small_config("mamba"), seed=0)
-    bad = params.astype(np.float32)
+    bad = astype(params, np.float32)
     bad.clff[1][1].a_log.data[0, 0] = np.nan
     cube = np.random.default_rng(3).random((3, 5, 4)).astype(np.float32)
     _, state = dpsr_step(cube[0], params, None)
@@ -133,7 +141,7 @@ def test_infinite_latent_names_block_and_line(block, value):
 def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
     # stopping and resuming at any chunk boundary leaves the output unchanged
     params = DpsrParams.init(small_config(kind, kernel_lines=kernel_lines), seed=1)
-    params = params.astype(dtype)
+    params = astype(params, dtype)
     cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
     streamed, state = fold_steps(cube, params, chunk)
     whole = dpsr_forward_image(cube, params).data

@@ -1,11 +1,15 @@
-"""Streaming state accounting and the fixed-cadence timeline."""
+"""Streaming state accounting, the stream report and the fixed-cadence timeline."""
+
+import types
 
 import numpy as np
 import pytest
 
+from dpsr import stream
+from dpsr.dataio import HsiCube
 from dpsr.errors import ContractError
 from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step
-from dpsr.stream import StreamReport, account_state_bytes
+from dpsr.stream import StreamReport, account_state_bytes, run_stream
 
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
@@ -29,8 +33,8 @@ def test_state_accounting_matches_real_state_and_is_constant(kind):
 
 
 def report(first_ms, latencies_ms):
-    return StreamReport(budget_ms=4.32, lines_processed=len(latencies_ms) + 1,
-                        first_line_ms=first_ms, latencies_ms=list(latencies_ms))
+    return StreamReport(budget_ms=4.32, first_line_ms=first_ms,
+                        latencies_ms=list(latencies_ms))
 
 
 def test_backlog_makes_fast_lines_late():
@@ -52,3 +56,43 @@ def test_no_line_late_when_each_fits_its_period():
 def test_cadence_must_be_positive(cadence):
     with pytest.raises(ContractError):
         report(0.5, [1.0]).count_late(cadence)
+
+
+# wall-clock ms of lines 0..6 under the fake clock below; 4 ms splits them
+LINE_MS = [10.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0]
+
+
+@pytest.fixture
+def timed_stream(monkeypatch):
+    """run_stream over 7 lines whose step latencies read LINE_MS."""
+    stamps = []
+    for y, ms in enumerate(LINE_MS):
+        stamps += [100.0 * y, 100.0 * y + ms / 1e3]
+    clock = iter(stamps)
+    monkeypatch.setattr(stream, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    cube = HsiCube(data=np.random.default_rng(1).random((len(LINE_MS), 5, 4)))
+    return cfg, run_stream(cube, DpsrParams.init(cfg, seed=0), budget_ms=4.0)
+
+
+def test_stream_report_counts_lines_and_deadline_misses(timed_stream):
+    cfg, (sr, rep) = timed_stream
+    assert sr.data.shape == ((len(LINE_MS) - 1) * cfg.scale, 5 * cfg.scale, 4)
+    assert rep.lines_processed == len(LINE_MS)
+    assert rep.first_line_ms == pytest.approx(LINE_MS[0])
+    assert rep.latencies_ms == pytest.approx(LINE_MS[1:])
+    assert rep.deadline_misses == sum(ms > 4.0 for ms in LINE_MS[1:]) == 3
+    assert "deadline misses       3" in rep.table()
+
+
+def test_stream_report_csv_has_one_row_per_line_and_constant_state(timed_stream, tmp_path):
+    cfg, (_, rep) = timed_stream
+    path = tmp_path / "lines.csv"
+    rep.write_csv(path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "line_index,latency_ms,state_bytes"
+    assert len(rows) == len(LINE_MS)
+    cells = [row.split(",") for row in rows]
+    assert [int(c[0]) for c in cells] == list(range(len(LINE_MS)))
+    assert [float(c[1]) for c in cells] == pytest.approx(LINE_MS)
+    assert {int(c[2]) for c in cells} == {account_state_bytes(cfg, 5).total_bytes}

@@ -7,7 +7,8 @@ import pytest
 
 from dpsr import tensor as T
 from dpsr.errors import ContractError, ShapeError
-from dpsr.tensor import Tape, Tensor, grad_check
+from dpsr.tensor import Tape, Tensor
+from gradcheck import grad_check
 
 
 def t64(arr, grad=True):

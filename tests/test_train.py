@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dpsr import train
-from dpsr.tensor import Tape, Tensor, grad_check
+from dpsr.tensor import Tape, Tensor
+from gradcheck import grad_check
 
 ALPHA_S, ALPHA_G = 0.3, 0.1
 
