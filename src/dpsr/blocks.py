@@ -3,6 +3,15 @@
 Everything here is stateless: parameters in, features out. All forwards
 accept either one line (W, channels) or a whole stack of lines
 (H, W, channels); the line axis is always -2 and channels are last.
+
+The upsampler has two exact forms of one function. The separate form runs
+the declared steps: a 3-tap expand conv F -> f*r^2, the pixel shuffle and a
+3-tap restore conv f -> C. The composed form runs them as one 5-tap conv
+F -> r^2*C, less two border terms where the restore conv's zero padding
+hides an expand output. `upsample_line` takes the composed form when
+5*C*F < 3*f*(F + C), the rule on FLOPs per low-res pixel in `composes`;
+the full-size model (F=280, f=64, C=66) streams through the separate form
+and a narrow training config (F=32, f=64, C=16) takes the composed one.
 """
 
 import numpy as np
@@ -175,6 +184,16 @@ class UpsamplerParams(ParamSet):
         return self.dims[2]
 
 
+def composes(features, up_features, bands):
+    """True when the upsampler runs as one composed 5-tap conv.
+
+    Per low-res pixel the composed conv F -> r^2*C costs 10*r^2*C*F FLOPs and
+    the separate pair F -> r^2*f -> C costs 6*r^2*f*(F + C); r and W cancel,
+    so the choice depends on the channel widths alone.
+    """
+    return 5 * bands * features < 3 * up_features * (features + bands)
+
+
 def pixel_shuffle_line(x, scale, up_features):
     """Rearrange (.., W, f*r^2) -> (.., r, r*W, f).
 
@@ -192,11 +211,119 @@ def pixel_shuffle_line(x, scale, up_features):
     return T.reshape(t, lead + (r, w * r, f))
 
 
-def upsample_line(x, p):
-    """(.., W, F) line features -> (.., r, r*W, C) super-resolved residual."""
+def upsample_separate(x, p):
+    """The upsampler as its three declared steps: expand, shuffle, restore."""
     t = T.conv1d(x, p.expand_w, p.expand_b)
     t = pixel_shuffle_line(t, p.scale, p.up_features)
     return T.conv1d(t, p.restore_w, p.restore_b)
+
+
+# Restore tap t reads high-res column j*r + b + t - 1, which is expand
+# sub-pixel b' = (b + t - 1) mod r of low-res column j + d, d the floor of
+# (b + t - 1) / r. Per tap, (t, output sub-pixels b, their b', composite
+# taps d + s + 1 for expand taps s = 0, 1, 2), covering every (t, b') once.
+_RESTORE_TAPS = [
+    (1, np.s_[:], np.s_[:], np.s_[1:4]),
+    (0, np.s_[1:], np.s_[:-1], np.s_[1:4]),
+    (0, np.s_[:1], np.s_[-1:], np.s_[0:3]),      # d = -1
+    (2, np.s_[:-1], np.s_[1:], np.s_[1:4]),
+    (2, np.s_[-1:], np.s_[:1], np.s_[2:5]),      # d = +1
+]
+# The two reads of the composite that fall on the restore conv's padding, as
+# (low-res column j, sub-pixel b, restore tap t, sub-pixel b', expand tap s):
+# the only expand tap of column -1 or W that reaches an input column.
+_BORDERS = [(0, 0, 0, -1, 2), (-1, -1, 2, 0, 0)]
+
+
+def upsample_composed(x, p):
+    """The upsampler as one 5-tap conv F -> r^2*C, as one tape op.
+
+    Nothing nonlinear sits between the expand and restore convs, so they
+    compose: with Z_t = restore tap t times the expand weight over the f
+    reduced features, the composite weight of output (a, b, o) at tap m
+    sums Z_t's expand taps s of sub-pixel b' = (b + t - 1) mod r with
+    m = d + s + 1 (see `_RESTORE_TAPS`), and its bias sums restore_b and
+    restore_w times expand_b the same way. One column-matrix GEMM
+    (L*W, 5F) @ (5F, r^2*C) then gives every output.
+
+    The restore conv zero-pads the high-res line, so it never reads an
+    expand output at low-res column -1 or W; the composite weight does. Two
+    border terms take those reads back out: at j = 0, b = 0 (tap t = 0,
+    d = -1) and at j = W-1, b = r-1 (tap t = 2, d = +1). Each is a small
+    GEMM of the edge input column. The backward runs the two big GEMMs the
+    other way round and contracts the composite's gradient back to the four
+    declared tensors.
+    """
+    fin, f, r, c = p.dims
+    xd = x.data
+    w = xd.shape[-2]
+    x3 = xd.reshape(-1, w, fin)
+    n = len(x3)
+    nz = r * r * 3 * fin
+    # expand weight and bias as (f, r^2*3F + r^2): row c, columns (a, b', i, s) then (a, b')
+    wex = np.concatenate([p.expand_w.data.reshape(r * r, f, 3 * fin).transpose(1, 0, 2)
+                          .reshape(f, nz), p.expand_b.data.reshape(r * r, f).T], axis=1)
+    wr3 = p.restore_w.data.transpose(2, 0, 1)                       # (t, o, c)
+    zx = wr3 @ wex
+    z = zx[..., :nz].reshape(3, c, r, r, fin, 3).transpose(0, 2, 3, 1, 4, 5)  # (t, a, b', o, i, s)
+    zb = zx[..., nz:].reshape(3, c, r, r).transpose(0, 2, 3, 1)             # (t, a, b', o)
+    wc = np.zeros((r, r, c, fin, 5), dtype=zx.dtype)                    # (a, b, o, i, m)
+    bc = np.broadcast_to(p.restore_b.data, (r, r, c)).copy()
+    for t, b, bs, m in _RESTORE_TAPS:
+        wc[:, b, ..., m] += z[t, :, bs]
+        bc[:, b] += zb[t, :, bs]
+    wc = wc.reshape(r * r * c, fin * 5)
+    borders = [(j, b, t, bs, s, z[t, :, bs, ..., s].reshape(r * c, fin))
+               for j, b, t, bs, s in _BORDERS]
+
+    cols = T.columns(x3, 5).reshape(n * w, fin * 5)
+    y = cols @ wc.T
+    y += bc.reshape(-1)
+    y = y.reshape(n, w, r, r, c)
+    for j, b, t, bs, _, ew in borders:
+        y[:, j, :, b] -= (x3[:, j] @ ew.T).reshape(n, r, c) + zb[t, :, bs]
+    out = Tensor(y.transpose(0, 2, 1, 3, 4).reshape(xd.shape[:-2] + (r, r * w, c)))
+
+    def fn(g):
+        g = g.reshape(n, r, w * r, c)
+        g2 = g.reshape(n, r, w, r, c).transpose(0, 2, 1, 3, 4).reshape(n * w, r * r * c)
+        gx = T.fold_columns((g2 @ wc).reshape(n, w, fin, 5))
+        gwc = (g2.T @ cols).reshape(r, r, c, fin, 5)
+        gbc = g2.sum(axis=0).reshape(r, r, c)
+        gz = np.empty(z.shape, dtype=gwc.dtype)
+        gzb = np.empty(zb.shape, dtype=gwc.dtype)
+        for t, b, bs, m in _RESTORE_TAPS:
+            gz[t, :, bs] = gwc[:, b, ..., m]
+            gzb[t, :, bs] = gbc[:, b]
+        for j, _, t, bs, s, ew in borders:
+            ge = g[:, :, j].reshape(n, r * c)       # high-res column j*r + b is 0 or r*W-1
+            gx[:, j] -= ge @ ew
+            gz[t, :, bs, ..., s] -= (ge.T @ x3[:, j]).reshape(r, c, fin)
+            gzb[t, :, bs] -= ge.sum(axis=0).reshape(r, c)
+        gzx = np.concatenate([gz.transpose(0, 3, 1, 2, 4, 5).reshape(3, c, nz),
+                              gzb.transpose(0, 3, 1, 2).reshape(3, c, r * r)], axis=2)
+        gwr = (gzx @ wex.T).transpose(1, 2, 0)
+        gwex = wr3.reshape(3 * c, f).T @ gzx.reshape(3 * c, -1)
+        gwe = gwex[:, :nz].reshape(f, r * r, fin * 3).transpose(1, 0, 2).reshape(r * r * f, fin, 3)
+        gbe = gwex[:, nz:].T.reshape(-1)
+        return gx.reshape(xd.shape), gwe, gbe, np.ascontiguousarray(gwr), gbc.sum(axis=(0, 1))
+
+    return T.record(out, (x, p.expand_w, p.expand_b, p.restore_w, p.restore_b), fn)
+
+
+def upsample_line(x, p):
+    """(.., W, F) line features -> (.., r, r*W, C) super-resolved residual.
+
+    Runs `upsample_composed`, one 5-tap conv less the border terms at the
+    line's first and last high-res column, when `composes` says it does
+    fewer FLOPs than `upsample_separate` (5*C*F < 3*f*(F + C)); otherwise
+    the expand conv, pixel shuffle and restore conv. The rule reads channel
+    widths only, so a config takes the same form streaming and training.
+    """
+    features, up_features, _, bands = p.dims
+    if composes(features, up_features, bands):
+        return upsample_composed(x, p)
+    return upsample_separate(x, p)
 
 
 def bilinear_two_line(prev, curr, scale):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_positive, read_exact
+from .errors import ContractError, FormatError, positive_int, read_exact
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -131,8 +131,7 @@ def resample_matrix(n_in, factor):
 
 def bicubic_downsample(cube, r):
     """Antialiased bicubic decimation by an integer factor, per band."""
-    check_positive("factor", r)
-    r = int(r)
+    r = positive_int("factor", r)
     if cube.height % r or cube.width % r:
         raise ContractError(
             f"extents {cube.height}x{cube.width} not divisible by factor {r}")

@@ -36,6 +36,18 @@ def check_positive(name, value):
         raise ContractError(f"{name} must be > 0, got {value}")
 
 
+def positive_int(name, value):
+    """`value` as an int; ContractError unless it is > 0 and integral.
+
+    An integral float such as 2.0 passes; 0.5 or 2.5 fails rather than
+    truncating to 0 or 2.
+    """
+    check_positive(name, value)
+    if not float(value).is_integer():
+        raise ContractError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def read_exact(fh, n, what):
     """Exactly `n` bytes from `fh`; FormatError naming `what` if the file ends first."""
     buf = fh.read(n)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_positive
+from .errors import ContractError, positive_int
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -119,8 +119,7 @@ def evaluate(pred, ref, r):
     starts at high-res line 0 and simply never covers the last r lines, so
     alignment just crops the reference tail.
     """
-    check_positive("r", r)
-    r = int(r)
+    r = positive_int("r", r)
     if pred.height + r != ref.height:
         raise ContractError(
             f"prediction has {pred.height} lines; expected {ref.height - r} "

@@ -169,14 +169,15 @@ def _forward(x, params, state):
         if row is not None:
             raise NumericError(f"non-finite SSM latent in CLFF block {i} at line {first + row}")
         new_mem.append(mstate)
-    up = upsample_line(z, params.upsampler)                  # (L, r, rW, C)
 
     lines = x.data
     primed = int(state.prev_line is None)      # a fresh stream's first line only primes
     if not primed:
         lines = np.concatenate([state.prev_line[None], lines])
-    base = bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
-    out = T.add(T.slice_axis(up, 0, primed, len(x.data)), Tensor(base))
+    out = Tensor(bilinear_two_line(lines[:-1], lines[1:], cfg.scale))
+    if len(out.data):                          # upsample only the lines whose output is kept
+        z = T.slice_axis(z, 0, 1, len(x.data)) if primed else z
+        out = T.add(upsample_line(z, params.upsampler), out)   # (L - primed, r, rW, C)
     row = _first_bad_line(out.data)
     if row is not None:
         raise NumericError(f"non-finite output at line {first + primed + row}")

@@ -12,7 +12,7 @@ Counts are derived from shapes, never measured. Conventions:
 
 from dataclasses import dataclass
 
-from .blocks import attention_hidden
+from .blocks import attention_hidden, composes
 from .errors import check_positive
 from .stream import account_state_bytes
 
@@ -150,10 +150,16 @@ def _memory_items(cfg, w, tag):
 
 def _upsampler_items(cfg, w):
     f, uf, r, c = cfg.features, cfg.up_features, cfg.scale, cfg.bands
-    return [
-        _conv1d("up.expand", w, f, uf * r * r, 3),
-        _conv1d("up.restore", w * r, uf, c, 3, lines=r),
-    ]
+    expand = _conv1d("up.expand", w, f, uf * r * r, 3)
+    restore = _conv1d("up.restore", w * r, uf, c, 3, lines=r)
+    if not composes(f, uf, c):
+        return [expand, restore]
+    # the form upsample_line runs: one 5-tap conv F -> r^2*C, then two border
+    # corrections of r*C outputs each (an F-input GEMV and a bias subtract);
+    # the parameters are still the declared expand and restore tensors
+    conv = _conv1d("up.composed", w, f, r * r * c, 5)
+    return [CostItem(conv.name, expand.params + restore.params,
+                     conv.flops + 2 * r * c * (2 * f + 1))]
 
 
 def profile(config, width=32):

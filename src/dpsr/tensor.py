@@ -104,8 +104,8 @@ def record(out, inputs, fn):
     """Attach a backward closure to `out` if a tape is live.
 
     `fn(g)` must return one gradient array (or None) per input, aligned
-    with `inputs`. Every op here ends with it, and so does a fused op
-    defined elsewhere (`train.loss_terms`).
+    with `inputs`. Every op here ends with it, and so do the fused ops
+    defined elsewhere: `train.loss_terms` and `blocks.upsample_composed`.
     """
     tape = _active_tape()
     if tape is None:
@@ -236,16 +236,17 @@ def reduce_mean(a, axis=None, keepdims=False):
 
 
 def reduce_max(a, axis, keepdims=False):
-    m = a.data.max(axis=axis, keepdims=True)
+    ad = a.data
+    m = ad.max(axis=axis, keepdims=True)
     out = Tensor(m if keepdims else np.squeeze(m, axis=axis))
-    # ties: route the whole gradient to the first maximum along the axis
-    onehot = np.zeros_like(a.data)
-    idx = np.argmax(a.data, axis=axis)
-    np.put_along_axis(onehot, np.expand_dims(idx, axis), 1.0, axis=axis)
 
     def fn(g):
+        # ties: route the whole gradient to the first maximum along the axis
+        gx = np.zeros_like(ad)
+        idx = np.expand_dims(np.argmax(ad, axis=axis), axis)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (onehot * gg,)
+        np.put_along_axis(gx, idx, gg, axis=axis)
+        return (gx,)
 
     return record(out, (a,), fn)
 
@@ -333,7 +334,7 @@ def _taps(k, width):
         yield j, slice(lo, lo + n), slice(lo + s, lo + s + n)
 
 
-def _columns(x, k):
+def columns(x, k):
     """(..., W, Cin) -> (..., W, Cin, K) column matrix: [..., i, c, j] = x[..., i+j-K//2, c].
 
     Zero where the tap falls on the padding. Filled tap by tap from
@@ -347,8 +348,8 @@ def _columns(x, k):
     return cols
 
 
-def _fold(z):
-    """Adjoint of `_columns`: (..., W, C, K) -> (..., W, C),
+def fold_columns(z):
+    """Adjoint of `columns`: (..., W, C, K) -> (..., W, C),
     out[..., i, c] = sum_j z[..., i-j+K//2, c, j], taps in the padding dropped.
     """
     k = z.shape[-1]
@@ -368,11 +369,11 @@ def conv1d(x, weight, bias=None):
     All lines go through one GEMM, in whichever of two forms has the
     smaller (rows, channels * K) intermediate:
 
-    - im2col, when Cout >= Cin: the column matrix of x (`_columns`) times
+    - im2col, when Cout >= Cin: the column matrix of x (`columns`) times
       the weight in its stored layout read as (Cout, Cin*K), which is never
       copied. The backward multiplies g by the kept column matrix for the
       weight gradient, and folds g times the weight back into the input
-      gradient at the taps' shifts (`_fold`).
+      gradient at the taps' shifts (`fold_columns`).
     - kn2row, when Cout < Cin: x times the weight read as (Cin, Cout*K)
       with its taps reversed (a small copy), whose K output slices are
       folded back at their shifts. The backward is the same pair the other
@@ -389,10 +390,10 @@ def conv1d(x, weight, bias=None):
     if kn2row:
         wm = wd[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
         x2 = xd.reshape(-1, cin)
-        y = _fold((x2 @ wm).reshape(xd.shape[:-1] + (cout, k)))
+        y = fold_columns((x2 @ wm).reshape(xd.shape[:-1] + (cout, k)))
     else:
         wm = wd.reshape(cout, cin * k)
-        cols = _columns(xd, k).reshape(-1, cin * k)
+        cols = columns(xd, k).reshape(-1, cin * k)
         y = (cols @ wm.T).reshape(xd.shape[:-1] + (cout,))
     if bias is not None:
         y += bias.data
@@ -401,12 +402,12 @@ def conv1d(x, weight, bias=None):
     def fn(g):
         g2 = g.reshape(-1, cout)
         if kn2row:
-            gcols = _columns(g, k).reshape(-1, cout * k)
+            gcols = columns(g, k).reshape(-1, cout * k)
             gx = (gcols @ wm.T).reshape(xd.shape)
             gw = (x2.T @ gcols).reshape(cin, cout, k)[:, :, ::-1].transpose(1, 0, 2).copy()
         else:
             gw = (g2.T @ cols).reshape(wd.shape)
-            gx = _fold((g2 @ wm).reshape(xd.shape + (k,)))
+            gx = fold_columns((g2 @ wm).reshape(xd.shape + (k,)))
         if bias is not None:
             return gx, gw, g2.sum(axis=0)
         return gx, gw

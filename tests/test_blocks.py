@@ -5,10 +5,13 @@ import pytest
 
 from dpsr import tensor as T
 from dpsr.blocks import (NafParams, SfeParams, UpsamplerParams,
-                         bilinear_two_line, naf_forward, pixel_shuffle_line,
-                         sfe_forward, upsample_line)
+                         bilinear_two_line, composes, naf_forward, pixel_shuffle_line,
+                         sfe_forward, upsample_composed, upsample_line,
+                         upsample_separate)
 from dpsr.errors import ShapeError
-from dpsr.tensor import Tensor
+from dpsr.model import DpsrConfig
+from dpsr.profiler import profile
+from dpsr.tensor import Tape, Tensor
 from gradcheck import grad_check
 
 
@@ -205,6 +208,77 @@ def test_pixel_shuffle_is_bijection():
         x = rng.standard_normal((w, r * r * f)).astype(np.float32)
         out = pixel_shuffle_line(Tensor(x), r, f).data
         assert sorted(out.ravel().tolist()) == sorted(x.ravel().tolist())
+
+
+def _composed_params(f_in, f, r, c, rng):
+    p = UpsamplerParams.init(f_in, f, r, c, rng, dtype=np.float64)
+    p.expand_b.data[...] = rng.standard_normal(p.expand_b.shape)
+    p.restore_b.data[...] = rng.standard_normal(p.restore_b.shape)
+    return p
+
+
+def _forward_and_grads(form, x, p, g):
+    """Output of `form` and the gradients of <output, g> w.r.t. x and the 4 tensors."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        y = form(xt, p)
+        loss = T.reduce_sum(T.mul(y, Tensor(g)))
+    return [y.data] + tape.gradients(loss, [xt] + [t for _, t in p.named_tensors()])
+
+
+@pytest.mark.parametrize("lines", [(), (1,), (3,)], ids=["one-line", "L1", "L3"])
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_composed_upsampler_equals_separate_form(r, width, lines):
+    # the edge columns are where the two border terms act; W = 1 has both in one column
+    rng = np.random.default_rng(100 * r + 10 * width + len(lines))
+    f_in, f, c = 4, 6, 2
+    assert composes(f_in, f, c)
+    p = _composed_params(f_in, f, r, c, rng)
+    x = rng.standard_normal(lines + (width, f_in))
+    g = rng.standard_normal(lines + (r, r * width, c))
+    sep = _forward_and_grads(upsample_separate, x, p, g)
+    comp = _forward_and_grads(upsample_composed, x, p, g)
+    names = ["out", "x", "expand_w", "expand_b", "restore_w", "restore_b"]
+    for name, a, b in zip(names, sep, comp):
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a)), name
+
+
+def test_composed_upsampler_gradients_pass():
+    rng = np.random.default_rng(13)
+    p = _composed_params(3, 4, 2, 2, rng)
+    x = Tensor(rng.standard_normal((2, 3, 3)) * 0.5, requires_grad=True)
+    ps = [x] + [t for _, t in p.named_tensors()]
+    err = grad_check(lambda: _sq_loss(upsample_composed(x, p)), ps)
+    assert err < 1e-4
+
+
+def test_upsampler_form_follows_the_channel_rule():
+    # the benchmark's training config composes; the full-size model does not
+    train, full = DpsrConfig(bands=16, features=32), DpsrConfig(bands=66)
+    assert composes(train.features, train.up_features, train.bands)
+    assert not composes(full.features, full.up_features, full.bands)
+    # composed is one tape node; separate is conv, shuffle (3 nodes), conv
+    for (f_in, f, c), nodes in [((32, 64, 16), 1), ((280, 64, 66), 5)]:
+        p = UpsamplerParams.zeros(f_in, f, 2, c)
+        with Tape() as tape:
+            upsample_line(Tensor(np.zeros((2, f_in), dtype=np.float32)), p)
+        assert len(tape.nodes) == nodes
+
+
+def test_profiler_counts_the_form_that_runs():
+    full = profile(DpsrConfig(bands=66), 32)
+    assert full.flops_per_line == 177_499_322
+    assert [i.name for i in full.items if i.name.startswith("up.")] == ["up.expand",
+                                                                         "up.restore"]
+    train = profile(DpsrConfig(bands=16, features=32), 32)
+    up = [i for i in train.items if i.name.startswith("up.")]
+    # 5-tap conv 32 -> 256 over 32 columns, plus two 64-output border terms
+    assert [(i.name, i.flops) for i in up] == [("up.composed", 32 * 256 * (2 * 160 + 1)
+                                                + 2 * 64 * (2 * 32 + 1))]
+    assert up[0].params == 1024 * 32 * 3 + 1024 + 16 * 64 * 3 + 16
+    assert train.flops_per_line == 4_640_676
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsr.dataio import HsiCube, bicubic_downsample, read_cube, write_cube
-from dpsr.errors import FormatError
+from dpsr.errors import ContractError, FormatError, positive_int
 
 
 def cube(shape=(5, 7, 3), seed=0, band_valid=None):
@@ -94,3 +94,15 @@ def test_bicubic_downsample_matches_direct_catmull_rom_sum(r, out_extent):
     assert got.data.shape == (h // r, w // r, 3)
     assert np.array_equal(got.band_valid, src.band_valid)
     assert np.max(np.abs(got.data.astype(np.float64) - _oracle(src.data, r))) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.5, float("inf")])
+def test_fractional_factor_is_rejected(factor):
+    # 0.5 used to truncate to 0 (ZeroDivisionError), 2.5 to 2 (a silent run)
+    with pytest.raises(ContractError, match="factor must be an integer"):
+        bicubic_downsample(HsiCube(np.zeros((4, 4, 1))), factor)
+
+
+def test_integral_factor_passes_as_int():
+    assert positive_int("factor", 2.0) == 2 and type(positive_int("factor", np.int64(3))) is int
+    assert bicubic_downsample(cube((4, 6, 2)), 2.0).data.shape == (2, 3, 2)

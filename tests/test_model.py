@@ -18,9 +18,13 @@ GOLDEN = {
 }
 
 
-def small_config(kind, **kw):
-    return DpsrConfig(bands=4, features=8, up_features=4, state_size=4,
+def small_config(kind, up_features=4, **kw):
+    return DpsrConfig(bands=4, features=8, up_features=up_features, state_size=4,
                       memory_kind=kind, **kw)
+
+
+# up_features 4 runs the separate upsampler, 16 the composed one (blocks.composes)
+UP_FEATURES = (4, 16)
 
 
 def astype(params, dtype):
@@ -100,15 +104,17 @@ def fold_steps(cube, params, chunk=1):
 @pytest.mark.parametrize("kernel_lines", [1, 4])
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
-    params = DpsrParams.init(small_config(kind, kernel_lines=kernel_lines), seed=1)
-    params = astype(params, dtype)
-    cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
-    streamed, state = fold_steps(cube, params)
-    whole = dpsr_forward_image(cube, params).data
-    assert streamed.shape == whole.shape == (8 * 4, 5 * 4, 4)
-    assert streamed.dtype == whole.dtype == dtype
-    assert np.max(np.abs(streamed - whole)) <= tol
-    assert state.lines_consumed == 9
+    for up_features in UP_FEATURES:
+        params = DpsrParams.init(small_config(kind, up_features, kernel_lines=kernel_lines),
+                                 seed=1)
+        params = astype(params, dtype)
+        cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
+        streamed, state = fold_steps(cube, params)
+        whole = dpsr_forward_image(cube, params).data
+        assert streamed.shape == whole.shape == (8 * 4, 5 * 4, 4)
+        assert streamed.dtype == whole.dtype == dtype
+        assert np.max(np.abs(streamed - whole)) <= tol
+        assert state.lines_consumed == 9
 
 
 def test_non_finite_latent_names_block_and_line():
@@ -140,14 +146,16 @@ def test_infinite_latent_names_block_and_line(block, value):
 @pytest.mark.parametrize("chunk", [2, 3, 9])
 def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
     # stopping and resuming at any chunk boundary leaves the output unchanged
-    params = DpsrParams.init(small_config(kind, kernel_lines=kernel_lines), seed=1)
-    params = astype(params, dtype)
-    cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
-    streamed, state = fold_steps(cube, params, chunk)
-    whole = dpsr_forward_image(cube, params).data
-    assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
-    assert np.max(np.abs(streamed - whole)) <= tol
-    assert state.lines_consumed == 9
+    for up_features in UP_FEATURES:
+        params = DpsrParams.init(small_config(kind, up_features, kernel_lines=kernel_lines),
+                                 seed=1)
+        params = astype(params, dtype)
+        cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
+        streamed, state = fold_steps(cube, params, chunk)
+        whole = dpsr_forward_image(cube, params).data
+        assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
+        assert np.max(np.abs(streamed - whole)) <= tol
+        assert state.lines_consumed == 9
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -174,3 +182,18 @@ def test_non_finite_input_line_is_rejected_before_any_block(value):
         resumed.append(sr)
     clean, _ = fold_steps(np.delete(cube, 3, axis=0), params)
     assert np.array_equal(np.concatenate(resumed, axis=0), clean[2 * 4:])
+
+
+def test_upsampler_runs_only_on_lines_whose_output_is_kept(monkeypatch):
+    import dpsr.model
+    seen = []
+    real = dpsr.model.upsample_line
+    monkeypatch.setattr(dpsr.model, "upsample_line",
+                        lambda z, p: seen.append(z.shape[0]) or real(z, p))
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    cube = np.random.default_rng(6).random((5, 3, 4)).astype(np.float32)
+    sr, state = dpsr_step(cube[0], params, None)      # the priming line
+    assert sr is None and seen == []
+    sr, _ = dpsr_step(cube[1:3], params, state)
+    assert sr.shape == (2 * 4, 3 * 4, 4) and seen == [2]
+    assert dpsr_forward_image(cube, params).shape == (4 * 4, 3 * 4, 4) and seen == [2, 4]

@@ -428,6 +428,17 @@ def test_binary_and_shape_op_gradients():
         assert err < 1e-6
 
 
+def test_reduce_max_routes_a_tie_to_the_first_maximum():
+    x = t64([[1.0, 5.0], [3.0, 5.0], [3.0, 2.0]])
+    for keepdims in (True, False):
+        with Tape() as tape:
+            m = T.reduce_max(x, axis=0, keepdims=keepdims)
+            loss = T.reduce_sum(T.mul(m, t64([2.0, 7.0], grad=False)))
+        assert np.array_equal(m.data.ravel(), [3.0, 5.0])
+        g, = tape.gradients(loss, [x])
+        assert np.array_equal(g, [[0.0, 7.0], [2.0, 0.0], [0.0, 0.0]])
+
+
 def test_reduce_and_stack_gradients():
     rng = np.random.default_rng(100)
     for _ in range(10):
