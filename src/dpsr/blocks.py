@@ -243,8 +243,8 @@ def upsample_composed(x, p):
     reduced features, the composite weight of output (a, b, o) at tap m
     sums Z_t's expand taps s of sub-pixel b' = (b + t - 1) mod r with
     m = d + s + 1 (see `_RESTORE_TAPS`), and its bias sums restore_b and
-    restore_w times expand_b the same way. One column-matrix GEMM
-    (L*W, 5F) @ (5F, r^2*C) then gives every output.
+    restore_w times expand_b the same way. One im2col GEMM through
+    `T.conv1d_gemm`, (L*W, 5F) @ (5F, r^2*C), then gives every output.
 
     The restore conv zero-pads the high-res line, so it never reads an
     expand output at low-res column -1 or W; the composite weight does. Two
@@ -272,12 +272,11 @@ def upsample_composed(x, p):
     for t, b, bs, m in _RESTORE_TAPS:
         wc[:, b, ..., m] += z[t, :, bs]
         bc[:, b] += zb[t, :, bs]
-    wc = wc.reshape(r * r * c, fin * 5)
+    wc = wc.reshape(r * r * c, fin, 5)
     borders = [(j, b, t, bs, s, z[t, :, bs, ..., s].reshape(r * c, fin))
                for j, b, t, bs, s in _BORDERS]
 
-    cols = T.columns(x3, 5).reshape(n * w, fin * 5)
-    y = cols @ wc.T
+    y, conv_back = T.conv1d_gemm(x3, wc)
     y += bc.reshape(-1)
     y = y.reshape(n, w, r, r, c)
     for j, b, t, bs, _, ew in borders:
@@ -287,8 +286,8 @@ def upsample_composed(x, p):
     def fn(g):
         g = g.reshape(n, r, w * r, c)
         g2 = g.reshape(n, r, w, r, c).transpose(0, 2, 1, 3, 4).reshape(n * w, r * r * c)
-        gx = T.fold_columns((g2 @ wc).reshape(n, w, fin, 5))
-        gwc = (g2.T @ cols).reshape(r, r, c, fin, 5)
+        gx, gwc = conv_back(g2)
+        gwc = gwc.reshape(r, r, c, fin, 5)
         gbc = g2.sum(axis=0).reshape(r, r, c)
         gz = np.empty(z.shape, dtype=gwc.dtype)
         gzb = np.empty(zb.shape, dtype=gwc.dtype)

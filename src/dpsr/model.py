@@ -14,7 +14,6 @@ of it, so line-by-line inference equals the whole-image forward by
 construction.
 """
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -70,7 +69,9 @@ class DpsrParams:
     upsampler: UpsamplerParams
 
     @classmethod
-    def _build(cls, config, make):
+    def build(cls, config, make):
+        """Each block as `make(block class, *its dims)`, the one place that knows
+        every block's dims: tensors for `init` / `zeros`, sizes for the profiler."""
         c = config
         return cls(
             config=c,
@@ -85,11 +86,11 @@ class DpsrParams:
     @classmethod
     def init(cls, config, seed=0, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        return cls._build(config, lambda block, *dims: block.init(*dims, rng, dtype=dtype))
+        return cls.build(config, lambda block, *dims: block.init(*dims, rng, dtype=dtype))
 
     @classmethod
     def zeros(cls, config, dtype=np.float32):
-        return cls._build(config, lambda block, *dims: block.zeros(*dims, dtype=dtype))
+        return cls.build(config, lambda block, *dims: block.zeros(*dims, dtype=dtype))
 
     def named_tensors(self):
         """All parameter tensors in the frozen serialization order."""
@@ -255,33 +256,33 @@ def save_params(params, path):
 
 def load_params(path):
     with open(path, "rb") as fh:
-        data = fh.read()
-    fh = io.BytesIO(data)
-    magic = read_exact(fh, len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}; not a model container")
-    fields = struct.unpack("<10I", read_exact(fh, 40, "config header"))
-    kind_idx = fields[8]
-    if kind_idx >= len(MEMORY_KINDS):
-        raise FormatError(f"unknown memory kind index {kind_idx}")
-    try:
-        cfg = DpsrConfig(bands=fields[0], features=fields[1], expand=fields[2],
-                         state_size=fields[3], kernel_lines=fields[4],
-                         up_features=fields[5], scale=fields[6], n_clff=fields[7],
-                         memory_kind=MEMORY_KINDS[kind_idx], ca_reduction=fields[9])
-    except ContractError as e:
-        raise FormatError(f"invalid config header: {e}") from e
-    params = DpsrParams.zeros(cfg)
-    for name, t in params.named_tensors():
-        ndim, = struct.unpack("<I", read_exact(fh, 4, f"{name} rank"))
-        if ndim != t.data.ndim:
-            raise FormatError(f"{name}: rank {ndim} does not match config shape")
-        shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, f"{name} shape"))
-        if shape != t.data.shape:
-            raise FormatError(
-                f"{name}: stored shape {shape} does not match config shape {t.data.shape}")
-        raw = read_exact(fh, 4 * t.data.size, f"{name} payload")
-        t.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    if fh.read(1):
-        raise FormatError("trailing bytes after the last tensor")
+        magic = read_exact(fh, len(MAGIC), "magic")
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}; not a model container")
+        fields = struct.unpack("<10I", read_exact(fh, 40, "config header"))
+        kind_idx = fields[8]
+        if kind_idx >= len(MEMORY_KINDS):
+            raise FormatError(f"unknown memory kind index {kind_idx}")
+        try:
+            cfg = DpsrConfig(bands=fields[0], features=fields[1], expand=fields[2],
+                             state_size=fields[3], kernel_lines=fields[4],
+                             up_features=fields[5], scale=fields[6], n_clff=fields[7],
+                             memory_kind=MEMORY_KINDS[kind_idx], ca_reduction=fields[9])
+        except ContractError as e:
+            raise FormatError(f"invalid config header: {e}") from e
+        params = DpsrParams.zeros(cfg)
+        for name, t in params.named_tensors():
+            ndim, = struct.unpack("<I", read_exact(fh, 4, f"{name} rank"))
+            if ndim != t.data.ndim:
+                raise FormatError(f"{name}: rank {ndim} does not match config shape")
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, f"{name} shape"))
+            if shape != t.data.shape:
+                raise FormatError(
+                    f"{name}: stored shape {shape} does not match config shape {t.data.shape}")
+            raw = read_exact(fh, 4 * t.data.size, f"{name} payload")
+            t.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(t.data).all():
+                raise FormatError(f"{name}: non-finite weight")
+        if fh.read(1):
+            raise FormatError("trailing bytes after the last tensor")
     return params

@@ -1,6 +1,9 @@
 """Static parameter / FLOPs / state-memory accounting.
 
-Counts are derived from shapes, never measured. Conventions:
+Counts are derived from shapes, never measured. Parameter counts are the
+sizes of the tensors each block declares in `ParamSet.spec`, and an affine
+layer's FLOPs follow from them; only FLOPs that no declared tensor carries
+have formulas of their own. Conventions:
 
 * one multiply-accumulate = 2 FLOPs;
 * transcendentals (exp, sigmoid, ...) = 1 FLOP each, itemized so the
@@ -10,10 +13,12 @@ Counts are derived from shapes, never measured. Conventions:
   complexity tables rarely say which denominator they use.
 """
 
+import math
 from dataclasses import dataclass
 
-from .blocks import attention_hidden, composes
+from .blocks import composes
 from .errors import check_positive
+from .model import DpsrParams
 from .stream import account_state_bytes
 
 SILU_FLOPS = 5     # sigmoid (exp, add, div, ~1 aux) + multiply
@@ -77,65 +82,59 @@ class CostReport:
                 "flops_per_px,flops_per_sample,state_bytes")
 
 
-def _conv1d(name, w, cin, cout, k, lines=1):
-    return CostItem(name, cout * cin * k + cout,
-                    lines * (w * cout * (2 * cin * k) + w * cout))
+def _affine(name, sizes, positions, weight, bias=None):
+    """An affine layer at `positions` points: per point, one multiply-add per
+    weight entry and one add per bias entry. Covers linear layers and convs."""
+    nb = sizes[bias] if bias else 0
+    return CostItem(name, sizes[weight] + nb, positions * (2 * sizes[weight] + nb))
 
 
-def _linear(name, w, din, dout, bias=True):
-    p = dout * din + (dout if bias else 0)
-    f = w * dout * 2 * din + (w * dout if bias else 0)
-    return CostItem(name, p, f)
-
-
-def _sfe_items(cfg, w):
-    f, c = cfg.features, cfg.bands
-    hidden = attention_hidden(f, cfg.ca_reduction)
-    items = [
-        _conv1d("sfe.conv", w, c, f, 3),
-        CostItem("sfe.norm_act", 2 * f, w * f * (LN_FLOPS + SILU_FLOPS)),
-    ]
-    # two pooled descriptors through the shared MLP, sigmoid, rescale
-    mlp_p = hidden * f + hidden + f * hidden + f
-    mlp_f = 2 * (hidden * 2 * f + hidden + f * 2 * hidden + f)
-    att_f = 2 * w * f + mlp_f + f * (SIGMOID_FLOPS + 1) + w * f
-    items.append(CostItem("sfe.attention", mlp_p, att_f))
-    return items
-
-
-def _naf_items(cfg, w, tag):
+def _sfe_items(cfg, s, w):
     f = cfg.features
-    items = [
-        CostItem(f"{tag}.norms", 4 * f, 2 * w * f * LN_FLOPS),
-        _linear(f"{tag}.pw1", w, f, 2 * f),
-        _conv1d(f"{tag}.dwconv", w, 1, 2 * f, 3),   # depthwise: cin=1 per channel
+    # pooling, the shared MLP on the avg and max descriptors, sigmoid, rescale
+    mlp = [_affine("", s, 2, "att_w1", "att_b1"), _affine("", s, 2, "att_w2", "att_b2")]
+    return [
+        _affine("sfe.conv", s, w, "conv_w", "conv_b"),
+        CostItem("sfe.norm_act", s["ln_gamma"] + s["ln_beta"],
+                 w * f * (LN_FLOPS + SILU_FLOPS)),
+        CostItem("sfe.attention", sum(i.params for i in mlp),
+                 2 * w * f + sum(i.flops for i in mlp) + f * (SIGMOID_FLOPS + 1) + w * f),
+    ]
+
+
+def _naf_items(cfg, s, w, tag):
+    f = cfg.features
+    norms = s["ln1_gamma"] + s["ln1_beta"] + s["ln2_gamma"] + s["ln2_beta"]
+    return [
+        CostItem(f"{tag}.norms", norms, 2 * w * f * LN_FLOPS),
+        _affine(f"{tag}.pw1", s, w, "pw1_w", "pw1_b"),
+        _affine(f"{tag}.dwconv", s, w, "dw_w", "dw_b"),
         CostItem(f"{tag}.gates", 0, 2 * w * f),     # two SimpleGates
-        _linear(f"{tag}.sca", 1, f, f),             # on the pooled descriptor
+        _affine(f"{tag}.sca", s, 1, "sca_w", "sca_b"),   # on the pooled descriptor
         CostItem(f"{tag}.sca_apply", 0, w * f * 2),
-        _linear(f"{tag}.pw2", w, f, f),
-        _linear(f"{tag}.ffn1", w, f, 2 * f),
-        _linear(f"{tag}.ffn2", w, f, f),
+        _affine(f"{tag}.pw2", s, w, "pw2_w", "pw2_b"),
+        _affine(f"{tag}.ffn1", s, w, "ffn1_w", "ffn1_b"),
+        _affine(f"{tag}.ffn2", s, w, "ffn2_w", "ffn2_b"),
         CostItem(f"{tag}.residuals", 0, 2 * w * f),
     ]
-    return items
 
 
-def _memory_items(cfg, w, tag):
-    f, ef, n, k = cfg.features, cfg.inner, cfg.state_size, cfg.kernel_lines
+def _memory_items(cfg, s, w, tag):
+    ef, n = cfg.inner, cfg.state_size
     items = [
-        _linear(f"{tag}.in_proj", w, f, ef),
-        _linear(f"{tag}.gate_proj", w, f, ef),
-        _conv1d(f"{tag}.causal_conv", w, 1, ef, k),
+        _affine(f"{tag}.in_proj", s, w, "in_w", "in_b"),
+        _affine(f"{tag}.gate_proj", s, w, "gate_w", "gate_b"),
+        _affine(f"{tag}.causal_conv", s, w, "conv_w", "conv_b"),
         CostItem(f"{tag}.act", 0, 2 * w * ef * SILU_FLOPS),
     ]
     if cfg.memory_kind == "mamba":
         items += [
-            _linear(f"{tag}.dt_proj", w, ef, ef),
+            _affine(f"{tag}.dt_proj", s, w, "dt_w", "dt_b"),
             CostItem(f"{tag}.dt_softplus", 0, w * ef * 3),
-            _linear(f"{tag}.b_proj", w, ef, n, bias=False),
-            _linear(f"{tag}.c_proj", w, ef, n, bias=False),
+            _affine(f"{tag}.b_proj", s, w, "b_w"),
+            _affine(f"{tag}.c_proj", s, w, "c_w"),
             # discretize, advance the latent, read out, skip
-            CostItem(f"{tag}.ssm_state", ef * n + ef,
+            CostItem(f"{tag}.ssm_state", s["a_log"] + s["d_skip"],
                      w * ef * n * 3       # exp(dt*A) per element
                      + w * ef * n * 4     # h = dA*h + dt*B*z
                      + w * ef * n * 2     # readout <C, h>
@@ -143,32 +142,32 @@ def _memory_items(cfg, w, tag):
         ]
     items += [
         CostItem(f"{tag}.gate_mul", 0, w * ef),
-        _linear(f"{tag}.out_proj", w, ef, f),
+        _affine(f"{tag}.out_proj", s, w, "out_w", "out_b"),
     ]
     return items
 
 
-def _upsampler_items(cfg, w):
-    f, uf, r, c = cfg.features, cfg.up_features, cfg.scale, cfg.bands
-    expand = _conv1d("up.expand", w, f, uf * r * r, 3)
-    restore = _conv1d("up.restore", w * r, uf, c, 3, lines=r)
-    if not composes(f, uf, c):
-        return [expand, restore]
+def _upsampler_items(cfg, s, w):
+    f, r, c = cfg.features, cfg.scale, cfg.bands
+    if not composes(f, cfg.up_features, c):
+        return [_affine("up.expand", s, w, "expand_w", "expand_b"),
+                _affine("up.restore", s, r * r * w, "restore_w", "restore_b")]  # r lines of r*W
     # the form upsample_line runs: one 5-tap conv F -> r^2*C, then two border
     # corrections of r*C outputs each (an F-input GEMV and a bias subtract);
     # the parameters are still the declared expand and restore tensors
-    conv = _conv1d("up.composed", w, f, r * r * c, 5)
-    return [CostItem(conv.name, expand.params + restore.params,
-                     conv.flops + 2 * r * c * (2 * f + 1))]
+    return [CostItem("up.composed", sum(s.values()),
+                     w * r * r * c * (2 * 5 * f + 1) + 2 * r * c * (2 * f + 1))]
 
 
 def profile(config, width=32):
     """Symbolic walk of the architecture for one input line of `width` px."""
     check_positive("width", width)
-    items = _sfe_items(config, width)
-    for i in range(config.n_clff):
-        items += _naf_items(config, width, f"clff{i}.naf")
-        items += _memory_items(config, width, f"clff{i}.mem")
-    items += _upsampler_items(config, width)
+    sizes = DpsrParams.build(config, lambda block, *dims: {
+        name: math.prod(shape) for name, shape, _ in block.spec(*dims)})
+    items = _sfe_items(config, sizes.sfe, width)
+    for i, (naf, mem) in enumerate(sizes.clff):
+        items += _naf_items(config, naf, width, f"clff{i}.naf")
+        items += _memory_items(config, mem, width, f"clff{i}.mem")
+    items += _upsampler_items(config, sizes.upsampler, width)
     return CostReport(config=config, width=width, items=items,
                       state=account_state_bytes(config, width))

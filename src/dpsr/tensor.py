@@ -334,7 +334,7 @@ def _taps(k, width):
         yield j, slice(lo, lo + n), slice(lo + s, lo + s + n)
 
 
-def columns(x, k):
+def _columns(x, k):
     """(..., W, Cin) -> (..., W, Cin, K) column matrix: [..., i, c, j] = x[..., i+j-K//2, c].
 
     Zero where the tap falls on the padding. Filled tap by tap from
@@ -348,8 +348,8 @@ def columns(x, k):
     return cols
 
 
-def fold_columns(z):
-    """Adjoint of `columns`: (..., W, C, K) -> (..., W, C),
+def _fold_columns(z):
+    """Adjoint of `_columns`: (..., W, C, K) -> (..., W, C),
     out[..., i, c] = sum_j z[..., i-j+K//2, c, j], taps in the padding dropped.
     """
     k = z.shape[-1]
@@ -360,56 +360,48 @@ def fold_columns(z):
     return out
 
 
+def conv1d_gemm(x, w):
+    """`conv1d` on arrays, without bias: (x (..., W, Cin), w (Cout, Cin, K)) -> (y, back).
+
+    y (..., W, Cout) is the column matrix of x times w read as (Cout, Cin*K),
+    which is never copied. `back(g)` returns (gx, gw): g times w folded back
+    into gx at the taps' shifts, and g times the kept column matrix.
+    """
+    cout, cin, k = w.shape
+    wm = w.reshape(cout, cin * k)
+    cols = _columns(x, k).reshape(-1, cin * k)
+
+    def back(g):
+        g2 = g.reshape(-1, cout)
+        return _fold_columns((g2 @ wm).reshape(x.shape + (k,))), (g2.T @ cols).reshape(w.shape)
+
+    return (cols @ wm.T).reshape(x.shape[:-1] + (cout,)), back
+
+
 def conv1d(x, weight, bias=None):
     """Same-size 1D convolution across the line (axis -2), zero padded.
 
     x: (..., W, Cin), weight: (Cout, Cin, K) with K odd -> (..., W, Cout):
     y[..., i, o] = sum_{c, j} weight[o, c, j] * x[..., i + j - K//2, c].
 
-    All lines go through one GEMM, in whichever of two forms has the
-    smaller (rows, channels * K) intermediate:
-
-    - im2col, when Cout >= Cin: the column matrix of x (`columns`) times
-      the weight in its stored layout read as (Cout, Cin*K), which is never
-      copied. The backward multiplies g by the kept column matrix for the
-      weight gradient, and folds g times the weight back into the input
-      gradient at the taps' shifts (`fold_columns`).
-    - kn2row, when Cout < Cin: x times the weight read as (Cin, Cout*K)
-      with its taps reversed (a small copy), whose K output slices are
-      folded back at their shifts. The backward is the same pair the other
-      way round: the column matrix of g times that weight gives the input
-      gradient, and x against it the reversed weight gradient.
+    All lines go through one im2col GEMM (`conv1d_gemm`): the column
+    matrix of x times the weight in its stored layout, and for the
+    backward the same two matrices against the output gradient.
     """
     cout, cin, k = weight.shape
     if k % 2 != 1:
         raise ContractError(f"conv1d kernel size must be odd, got {k}")
     if x.shape[-1] != cin:
         raise ShapeError(f"conv1d: input channels {x.shape[-1]} != weight fan-in {cin}")
-    xd, wd = x.data, weight.data
-    kn2row = cout < cin
-    if kn2row:
-        wm = wd[:, :, ::-1].transpose(1, 0, 2).reshape(cin, cout * k)
-        x2 = xd.reshape(-1, cin)
-        y = fold_columns((x2 @ wm).reshape(xd.shape[:-1] + (cout, k)))
-    else:
-        wm = wd.reshape(cout, cin * k)
-        cols = columns(xd, k).reshape(-1, cin * k)
-        y = (cols @ wm.T).reshape(xd.shape[:-1] + (cout,))
+    y, back = conv1d_gemm(x.data, weight.data)
     if bias is not None:
         y += bias.data
     out = Tensor(y)
 
     def fn(g):
-        g2 = g.reshape(-1, cout)
-        if kn2row:
-            gcols = columns(g, k).reshape(-1, cout * k)
-            gx = (gcols @ wm.T).reshape(xd.shape)
-            gw = (x2.T @ gcols).reshape(cin, cout, k)[:, :, ::-1].transpose(1, 0, 2).copy()
-        else:
-            gw = (g2.T @ cols).reshape(wd.shape)
-            gx = fold_columns((g2 @ wm).reshape(xd.shape + (k,)))
+        gx, gw = back(g)
         if bias is not None:
-            return gx, gw, g2.sum(axis=0)
+            return gx, gw, g.reshape(-1, cout).sum(axis=0)
         return gx, gw
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)

@@ -18,6 +18,7 @@ from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
 
 SAM_COS_CLIP = 1e-7   # keeps arccos' gradient finite at collinear spectra
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # first differences along both spatial axes, as (later, earlier) index pairs
 _DIFFS = ((np.s_[1:], np.s_[:-1]), (np.s_[:, 1:], np.s_[:, :-1]))
 
@@ -121,9 +122,6 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params):
@@ -134,7 +132,7 @@ class AdamState:
 def adam_step(named_params, grads, state, lr):
     """In-place bias-corrected Adam update."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for (name, p), g, m, v in zip(named_params, grads, state.m, state.v):
@@ -142,7 +140,7 @@ def adam_step(named_params, grads, state, lr):
             raise NumericError(f"non-finite gradient for parameter {name}")
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass

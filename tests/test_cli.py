@@ -108,6 +108,16 @@ def test_sr_stream_rejects_a_non_finite_line(files, tmp_path, capsys, bad):
     assert "non-finite input at line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sr_stream_rejects_a_non_finite_weight(files, tmp_path, capsys, bad):
+    argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc")]
+    params = DpsrParams.init(DpsrConfig(bands=4, features=8, up_features=4, state_size=4))
+    params.clff[1][1].a_log.data[2, 1] = bad
+    save_params(params, tmp_path / "m.dpsrw")    # over the fixture's model
+    assert main(argv) == EXIT_CONTRACT
+    assert "clff1.mem.a_log: non-finite weight" in capsys.readouterr().err
+
+
 MODEL_FILE = """# model
 bands = 4
 features = 6          # overridden by --features

@@ -104,7 +104,7 @@ def _diagonal(dw):
 def test_line_convs_on_batches(k, lead, width, transposed):
     # leading batch dims as in training, widths below K (taps wholly in the
     # padding) and a non-contiguous input reached through a transpose; with
-    # 3 input channels, Cout 2 takes conv1d's kn2row form, 3 and 5 im2col
+    # 3 input channels, Cout 2, 3 and 5 give fewer, as many and more outputs
     rng = np.random.default_rng(200 + 10 * k + width)
     n = len(lead)
     xb = t64(rng.standard_normal(lead + ((3, width) if transposed else (width, 3))))

@@ -1,11 +1,13 @@
-"""The training loss: value, gradient and its masks."""
+"""The training loss: value, gradient and its masks; the whole model's gradient."""
 
 import numpy as np
 import pytest
 
 from dpsr import train
+from dpsr.blocks import composes
+from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
-from gradcheck import grad_check
+from gradcheck import grad_check, tensor_grad_check
 
 ALPHA_S, ALPHA_G = 0.3, 0.1
 
@@ -71,3 +73,24 @@ def test_zero_norm_predicted_pixel_gets_a_finite_gradient():
     with_sam = gradient(ALPHA_S)
     assert np.all(np.isfinite(with_sam))
     assert np.array_equal(with_sam[2, 3], gradient(0.0)[2, 3])
+
+
+@pytest.mark.parametrize("kind,up_features,count,composed", [
+    ("mamba", 2, 802, False), ("causalconv", 4, 828, True),
+])
+def test_whole_model_gradient(kind, up_features, count, composed):
+    # every parameter, through the image forward and the training loss, in
+    # float64; the two cases run the separate and the composed upsampler
+    cfg = DpsrConfig(bands=3, features=4, state_size=2, scale=2, kernel_lines=2,
+                     up_features=up_features, memory_kind=kind)
+    assert composes(cfg.features, cfg.up_features, cfg.bands) == composed
+    params = DpsrParams.init(cfg, seed=3, dtype=np.float64)
+    named = params.named_tensors()
+    assert sum(t.size for _, t in named) == count
+    rng = np.random.default_rng(4)
+    lr = rng.uniform(0.1, 1.0, (4, 3, 3))
+    hr = rng.uniform(0.1, 1.0, (6, 6, 3))
+    ratios = tensor_grad_check(
+        lambda: train.loss_terms(dpsr_forward_image(lr, params), hr, ALPHA_S, ALPHA_G)[0],
+        named)
+    assert max(ratios.values()) <= 1, sorted(ratios.items(), key=lambda kv: -kv[1])[:5]
