@@ -20,8 +20,6 @@ from . import tensor as T
 from .errors import ShapeError
 from .tensor import Tensor
 
-LN_EPS = 1e-6
-
 
 def uniform(fan_in):
     """Init rule: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
@@ -106,7 +104,7 @@ def sfe_forward(x, p):
         raise ShapeError(
             f"sfe_forward: line has {x.shape[-1]} bands, params expect {p.conv_w.shape[1]}")
     h = T.conv1d(x, p.conv_w, p.conv_b)
-    h = T.layer_norm(h, p.ln_gamma, p.ln_beta, eps=LN_EPS)
+    h = T.layer_norm(h, p.ln_gamma, p.ln_beta)
     h = T.silu(h)
     avg = T.reduce_mean(h, axis=-2, keepdims=True)
     mx = T.reduce_max(h, axis=-2, keepdims=True)
@@ -143,7 +141,7 @@ def simple_gate(x):
 
 def naf_forward(z, p):
     """(.., W, F) -> (.., W, F), two residual sub-blocks."""
-    t = T.layer_norm(z, p.ln1_gamma, p.ln1_beta, eps=LN_EPS)
+    t = T.layer_norm(z, p.ln1_gamma, p.ln1_beta)
     t = T.linear(t, p.pw1_w, p.pw1_b)
     t = T.depthwise_conv1d(t, p.dw_w, p.dw_b)
     t = simple_gate(t)
@@ -152,7 +150,7 @@ def naf_forward(z, p):
     t = T.linear(t, p.pw2_w, p.pw2_b)
     y = T.add(z, t)
 
-    u = T.layer_norm(y, p.ln2_gamma, p.ln2_beta, eps=LN_EPS)
+    u = T.layer_norm(y, p.ln2_gamma, p.ln2_beta)
     u = T.linear(u, p.ffn1_w, p.ffn1_b)
     u = simple_gate(u)
     u = T.linear(u, p.ffn2_w, p.ffn2_b)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError, positive_int, read_exact
+from .errors import ContractError, FormatError, check_size, positive_int, read_exact
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -74,7 +74,10 @@ def read_cube(path):
         if version != CUBE_VERSION:
             raise FormatError(f"unsupported cube version {version}")
         h, w, c = struct.unpack("<3I", read_exact(fh, 12, "extents"))
+        if 0 in (h, w, c):
+            raise FormatError(f"empty cube extents {h}x{w}x{c}")
         flags, = struct.unpack("<B", read_exact(fh, 1, "flags"))
+        check_size(fh, (c if flags & _FLAG_MASK else 0) + 4 * h * w * c, "cube header")
         band_valid = np.ones(c, dtype=bool)
         if flags & _FLAG_MASK:
             band_valid = np.frombuffer(read_exact(fh, c, "band mask"),

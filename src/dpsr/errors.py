@@ -5,6 +5,8 @@ matters: NumericError -> 1, OSError -> 2, ContractError (and subclasses)
 -> 3, ConfigError -> 4.
 """
 
+import os
+
 
 class DpsrError(Exception):
     """Base class for all errors raised by this package."""
@@ -46,6 +48,14 @@ def positive_int(name, value):
     if not float(value).is_integer():
         raise ContractError(f"{name} must be an integer, got {value}")
     return int(value)
+
+
+def check_size(fh, need, what):
+    """FormatError unless the open file `fh` holds `need` more bytes; loaders
+    check a header's sizes with it before they allocate or read them."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if need > left:
+        raise FormatError(f"truncated file: the {what} implies {need} more bytes, {left} follow")
 
 
 def read_exact(fh, n, what):

@@ -14,15 +14,16 @@ of it, so line-by-line inference equals the whole-image forward by
 construction.
 """
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ssm, tensor as T
 from .blocks import (NafParams, SfeParams, UpsamplerParams, bilinear_two_line,
                      naf_forward, sfe_forward, upsample_line)
-from .errors import ContractError, FormatError, NumericError, read_exact
+from .errors import ContractError, FormatError, NumericError, check_size, read_exact
 from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
@@ -254,6 +255,13 @@ def save_params(params, path):
             _write_tensor(fh, t.data)
 
 
+def _record_bytes(config):
+    """Bytes of `config`'s tensor records, from `ParamSet.spec` (alike CLFF blocks sized once)."""
+    sizes = DpsrParams.build(replace(config, n_clff=1), lambda block, *dims: sum(
+        4 + 4 * len(shape) + 4 * math.prod(shape) for _, shape, _ in block.spec(*dims)))
+    return sizes.sfe + config.n_clff * sum(sizes.clff[0]) + sizes.upsampler
+
+
 def load_params(path):
     with open(path, "rb") as fh:
         magic = read_exact(fh, len(MAGIC), "magic")
@@ -270,6 +278,7 @@ def load_params(path):
                              memory_kind=MEMORY_KINDS[kind_idx], ca_reduction=fields[9])
         except ContractError as e:
             raise FormatError(f"invalid config header: {e}") from e
+        check_size(fh, _record_bytes(cfg), "config header")
         params = DpsrParams.zeros(cfg)
         for name, t in params.named_tensors():
             ndim, = struct.unpack("<I", read_exact(fh, 4, f"{name} rank"))

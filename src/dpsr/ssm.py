@@ -21,7 +21,9 @@ State per block: the last K-1 projected feature lines (K-1, W, EF), which
 is all the causal convolution reads besides the new line, and, for the
 selective block, the SSM latent (W, N, EF), laid out with the channels
 last so that its updates run along the long contiguous axis. Both are
-independent of how many lines were already processed.
+independent of how many lines were already processed. The ops that read
+them return their next value: `tensor.causal_depthwise_conv` returns
+(y, next tail) as `tensor.selective_scan` returns (y, next latent).
 """
 
 from dataclasses import dataclass
@@ -126,10 +128,9 @@ def _forward(z, p, s):
     if z.shape[1] != s.width:
         raise ContractError(
             f"memory block: line width {z.shape[1]} does not match state width {s.width}")
-    lines = z.shape[0]
     v = T.linear(z, p.in_w, p.in_b)
-    zp = T.silu(T.causal_depthwise_conv(v, s.conv_tail, p.conv_w, p.conv_b))
-    tail = np.concatenate([s.conv_tail, v.data], axis=0)[lines:]
+    zp, tail = T.causal_depthwise_conv(v, s.conv_tail, p.conv_w, p.conv_b)
+    zp = T.silu(zp)
     y, h = zp, None
     if p.selective:
         dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))

@@ -104,8 +104,9 @@ def record(out, inputs, fn):
     """Attach a backward closure to `out` if a tape is live.
 
     `fn(g)` must return one gradient array (or None) per input, aligned
-    with `inputs`. Every op here ends with it, and so do the fused ops
-    defined elsewhere: `train.loss_terms` and `blocks.upsample_composed`.
+    with `inputs`. Every op here ends with it (the layer ops through
+    `_with_bias`), and so do the fused ops defined elsewhere:
+    `train.loss_terms` and `blocks.upsample_composed`.
     """
     tape = _active_tape()
     if tape is None:
@@ -219,19 +220,14 @@ def reduce_sum(a, axis=None, keepdims=False):
     shape = a.shape
 
     def fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
     return record(out, (a,), fn)
 
 
 def reduce_mean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
+    n = a.size if axis is None else a.shape[axis]
     return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -269,9 +265,7 @@ def transpose(a, axes):
 
 def slice_axis(a, axis, lo, hi):
     """a[..., lo:hi, ...] along `axis`; gradient zero-pads the complement."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(lo, hi)
-    idx = tuple(idx)
+    idx = (slice(None),) * (axis % a.data.ndim) + (slice(lo, hi),)
     out = Tensor(a.data[idx])
     shape = a.shape
 
@@ -295,27 +289,29 @@ def split_half(a):
 # linear / convolutional layers
 
 
+def _with_bias(y, x, weight, bias, back):
+    """y (+ bias over the last axis) recorded as a layer op on x: the layer
+    ops here end with it. `back(g)` returns (gx, gw); the bias gets g summed
+    over every leading axis."""
+    if bias is None:
+        return record(Tensor(y), (x, weight), back)
+    y += bias.data
+    return record(Tensor(y), (x, weight, bias),
+                  lambda g: back(g) + (g.reshape(-1, g.shape[-1]).sum(axis=0),))
+
+
 def linear(x, weight, bias=None):
     """Affine map over the last axis: y[..., o] = sum_i x[..., i] * W[o, i] + b[o]."""
     if x.shape[-1] != weight.shape[1]:
         raise ShapeError(
             f"linear: input features {x.shape[-1]} != weight fan-in {weight.shape[1]}")
-    y = x.data @ weight.data.T
-    if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
     xd, wd = x.data, weight.data
 
-    def fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        x2 = xd.reshape(-1, xd.shape[-1])
-        gx = (g @ wd).reshape(xd.shape)
-        gw = g2.T @ x2
-        gb = g2.sum(axis=0) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+    def back(g):
+        gw = g.reshape(-1, g.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+        return (g @ wd).reshape(xd.shape), gw
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return record(out, inputs, fn)
+    return _with_bias(xd @ wd.T, x, weight, bias, back)
 
 
 def _taps(k, width):
@@ -388,24 +384,44 @@ def conv1d(x, weight, bias=None):
     matrix of x times the weight in its stored layout, and for the
     backward the same two matrices against the output gradient.
     """
-    cout, cin, k = weight.shape
+    _, cin, k = weight.shape
     if k % 2 != 1:
         raise ContractError(f"conv1d kernel size must be odd, got {k}")
     if x.shape[-1] != cin:
         raise ShapeError(f"conv1d: input channels {x.shape[-1]} != weight fan-in {cin}")
     y, back = conv1d_gemm(x.data, weight.data)
-    if bias is not None:
-        y += bias.data
-    out = Tensor(y)
+    return _with_bias(y, x, weight, bias, back)
 
-    def fn(g):
-        gx, gw = back(g)
-        if bias is not None:
-            return gx, gw, g.reshape(-1, cout).sum(axis=0)
+
+def _tap_sum(x, w, taps, axis, length):
+    """Per-channel tap sum on arrays: (x (..., C), w (C, K)) -> (y, back).
+
+    Each tap (j, dst, src), slices along `axis`, adds w[:, j] * x[src] into
+    y[dst]; y has `length` positions on `axis`, zero where no tap lands.
+    back(g) returns (gx, gw): gx[src] += w[:, j] * g[dst], and gw[:, j] is
+    g[dst] * x[src] summed over all but the channel axis. Products go through
+    one output-sized scratch, by rows of w.T (strided columns ran 2.5x slower).
+    """
+    lead = (slice(None),) * (axis % x.ndim)
+    taps = [(j, lead + (dst,), lead + (src,)) for j, dst, src in taps]
+    shape = list(x.shape)
+    shape[axis] = length
+    y = np.zeros(shape, dtype=np.result_type(x, w))
+    tmp = np.empty_like(y)
+    wt = np.ascontiguousarray(w.T)
+    for j, dst, src in taps:
+        y[dst] += np.multiply(x[src], wt[j], out=tmp[dst])
+
+    def back(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gw = np.empty(w.shape, dtype=g.dtype)
+        sum_axes = tuple(range(g.ndim - 1))
+        for j, dst, src in taps:
+            gx[src] += np.multiply(g[dst], wt[j], out=tmp[dst])
+            gw[:, j] = np.multiply(g[dst], x[src], out=tmp[dst]).sum(axis=sum_axes)
         return gx, gw
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return record(out, inputs, fn)
+    return y, back
 
 
 def depthwise_conv1d(x, weight, bias=None):
@@ -415,45 +431,16 @@ def depthwise_conv1d(x, weight, bias=None):
     depends only on channel c of the input:
     y[..., i, c] = sum_j weight[c, j] * x[..., i + j - K//2, c].
 
-    Each tap is one broadcast multiply-add of a shifted slice of x into the
-    output, through one output-sized scratch; the backward runs the same
-    taps, and the weight gradient of tap j is the sum of g times x at that
-    shift.
+    `_tap_sum` over `_taps`' slices along axis -2, so taps that would read
+    the zero padding skip it and no padded copy of x is built.
     """
     c, k = weight.shape
     if k % 2 != 1:
         raise ContractError(f"depthwise_conv1d kernel size must be odd, got {k}")
     if x.shape[-1] != c:
         raise ShapeError(f"depthwise_conv1d: {x.shape[-1]} channels vs {c} kernels")
-    xd, wd = x.data, weight.data
-    taps = list(_taps(k, xd.shape[-2]))
-    y = xd * wd[:, k // 2]
-    tmp = np.empty_like(y)
-    for j, dst, src in taps:
-        if j != k // 2:
-            np.multiply(xd[..., src, :], wd[:, j], out=tmp[..., dst, :])
-            y[..., dst, :] += tmp[..., dst, :]
-    if bias is not None:
-        y += bias.data
-    out = Tensor(y)
-
-    def fn(g):
-        lead = tuple(range(g.ndim - 1))
-        gx = g * wd[:, k // 2]
-        gw = np.empty(wd.shape, dtype=gx.dtype)
-        tmp = np.empty_like(gx)
-        for j, dst, src in taps:
-            if j != k // 2:
-                np.multiply(g[..., dst, :], wd[:, j], out=tmp[..., src, :])
-                gx[..., src, :] += tmp[..., src, :]
-            np.multiply(g[..., dst, :], xd[..., src, :], out=tmp[..., dst, :])
-            gw[:, j] = tmp[..., dst, :].sum(axis=lead)
-        if bias is not None:
-            return gx, gw, g.sum(axis=lead)
-        return gx, gw
-
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return record(out, inputs, fn)
+    y, back = _tap_sum(x.data, weight.data, _taps(k, x.shape[-2]), -2, x.shape[-2])
+    return _with_bias(y, x, weight, bias, back)
 
 
 def causal_depthwise_conv(x, history, weight, bias=None):
@@ -462,7 +449,9 @@ def causal_depthwise_conv(x, history, weight, bias=None):
     x: (H, ..., C); history: (K-1, ..., C) array of the lines just before
     x[0], oldest first (zeros at the start of a sequence); weight: (C, K).
     Output line y sees lines y-K+1 .. y; weight[:, K-1] multiplies the
-    newest line. The history carries no gradient.
+    newest line. Returns (y Tensor, next history): the last K-1 lines of
+    xp = concat(history, x), as an array; histories carry no gradient.
+    `_tap_sum` adds weight[:, j] * xp[j:j+H] to all H output lines.
     """
     c, k = weight.shape
     if x.shape[-1] != c:
@@ -472,28 +461,14 @@ def causal_depthwise_conv(x, history, weight, bias=None):
                          f" and {k} kernel lines")
     h = x.shape[0]
     xp = np.concatenate([history, x.data], axis=0)
-    wd = weight.data
-    y = xp[:h] * wd[:, 0]
-    for j in range(1, k):
-        y += xp[j:j + h] * wd[:, j]
-    if bias is not None:
-        y = y + bias.data
-    out = Tensor(y)
+    taps = [(j, slice(0, h), slice(j, j + h)) for j in range(k)]
+    y, back = _tap_sum(xp, weight.data, taps, 0, h)
 
-    def fn(g):
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        for j in range(k):
-            gxp[j:j + h] += g * wd[:, j]
-        gw = np.stack([(g * xp[j:j + h]).reshape(-1, c).sum(axis=0)
-                       for j in range(k)], axis=1)
-        gx = gxp[k - 1:]
-        if bias is not None:
-            gb = g.reshape(-1, c).sum(axis=0)
-            return gx, gw, gb
-        return gx, gw
+    def back_x(g):
+        gxp, gw = back(g)
+        return gxp[k - 1:], gw
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return record(out, inputs, fn)
+    return _with_bias(y, x, weight, bias, back_x), xp[h:]
 
 
 # selective_scan works on (columns, N, E) slabs of about this size, which
@@ -579,24 +554,25 @@ def selective_scan(dt, u, b, c, a_log, h0):
     return record(out, inputs, fn), h
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+LN_EPS = 1e-6   # keeps `layer_norm` of a constant feature vector finite (0)
+
+
+def layer_norm(x, gamma, beta):
     """Normalize over the last (feature) axis, then scale and shift, as one op.
 
     y = x_hat * gamma + beta with x_hat = (x - mean) * inv and
-    inv = 1 / sqrt(var + eps). The backward is the closed form
+    inv = 1 / sqrt(var + LN_EPS). The backward is the closed form
     gx = inv * (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) with
     g_hat = g * gamma, the means over the feature axis; gamma and beta get
     g * x_hat and g summed over every leading axis.
     """
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be > 0")
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError("layer_norm: gamma/beta must match the feature axis")
     gd = gamma.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     y = np.square(xhat)
-    inv = 1 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv = 1 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv
     np.multiply(xhat, gd, out=y)
     y += beta.data

@@ -6,6 +6,7 @@ with the same seed produce identical logs.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,11 @@ class TrainConfig:
     patience: int = 10        # evaluations without val improvement before stopping
 
     def __post_init__(self):
-        # lr == 0 is allowed for no-op sanity runs
-        if self.lr < 0:
-            raise ContractError("lr must be >= 0")
-        if self.alpha_s < 0 or self.alpha_g < 0:
-            raise ContractError("loss weights must be >= 0")
+        # lr == 0 is allowed for no-op sanity runs; NaN fails the comparison too
+        for name in ("lr", "alpha_s", "alpha_g"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0, got {value}")
         for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
             check_positive(name, getattr(self, name))
 

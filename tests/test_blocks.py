@@ -42,7 +42,7 @@ def test_sfe_zeroed_attention_mlp_scales_by_half():
     out = sfe_forward(x, p)
     # recompute the pre-attention features
     h = T.silu(T.layer_norm(T.conv1d(x, p.conv_w, p.conv_b),
-                            p.ln_gamma, p.ln_beta, eps=1e-6))
+                            p.ln_gamma, p.ln_beta))
     assert np.allclose(out.data, 0.5 * h.data, atol=1e-7)
 
 
@@ -89,7 +89,7 @@ def test_sfe_attention_weights_in_unit_interval():
     p = SfeParams.init(5, 8, 4, rng)
     x = Tensor(rng.uniform(0, 1, (6, 5)).astype(np.float32))
     h = T.silu(T.layer_norm(T.conv1d(x, p.conv_w, p.conv_b),
-                            p.ln_gamma, p.ln_beta, eps=1e-6))
+                            p.ln_gamma, p.ln_beta))
     out = sfe_forward(x, p)
     ratio = out.data / np.where(np.abs(h.data) > 1e-6, h.data, 1.0)
     inside = ratio[np.abs(h.data) > 1e-6]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import dpsr
-from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, build_parser, main
+from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, build_parser, main
 from dpsr.dataio import HsiCube, write_cube
 from dpsr.model import DpsrConfig, DpsrParams, save_params
 from dpsr.stream import PRISMA_LINE_MS
@@ -118,6 +119,18 @@ def test_sr_stream_rejects_a_non_finite_weight(files, tmp_path, capsys, bad):
     assert "clff1.mem.a_log: non-finite weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, corrupt", [
+    ("m.dpsrw", lambda b: b[:12] + struct.pack("<I", 0xFFFFFFFE) + b[16:]),   # features
+    ("lr.hsc", lambda b: b[:6] + struct.pack("<3I", 0xFFFFFFFF, 0xFFFFFFFF, 3) + b[18:]),
+], ids=["model-features", "cube-extents"])
+def test_sr_stream_rejects_a_corrupt_size_header(files, tmp_path, capsys, which, corrupt):
+    argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc")]
+    path = tmp_path / which
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert main(argv) == EXIT_CONTRACT
+    assert "truncated file" in capsys.readouterr().err
+
+
 MODEL_FILE = """# model
 bands = 4
 features = 6          # overridden by --features
@@ -194,13 +207,32 @@ def test_degrade_rejects_a_non_positive_factor(synth, factor):
     assert main(argv) == EXIT_CONTRACT
 
 
-@pytest.mark.parametrize("key", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
-def test_train_rejects_a_non_positive_size(synth, key):
+@pytest.mark.parametrize("key, value", [
+    *(pytest.param(key, "0", id=key)
+      for key in ("batch_size", "max_steps", "patch", "eval_every", "patience")),
+    ("lr", "nan"), ("lr", "inf"), ("lr", "-1e-3"), ("alpha_s", "nan"), ("alpha_g", "inf"),
+])
+def test_train_rejects_a_non_positive_size(synth, capsys, key, value):
+    # nan < 0 is false, so a `value < 0` check alone lets NaN through
     with open(synth / "train.cfg", "a", encoding="utf-8") as fh:
-        fh.write(f"{key} = 0\n")
+        fh.write(f"{key} = {value}\n")
     (synth / "out").mkdir()
     assert main(train_argv(synth)) == EXIT_CONTRACT
+    assert key in capsys.readouterr().err
     assert not (synth / "out" / "m.dpsrw").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["degrade", "--in", "{gone}.hsc", "--out", "{out}.hsc", "--factor", "4"],
+    ["eval", "--pred", "{gone}.hsc", "--ref", "{gone}.hsc", "--factor", "4"],
+    ["train", "--bands", "4", "--data-dir", "{gone}", "--out", "{out}.dpsrw"],
+    ["sr-stream", "--model", "{gone}.dpsrw", "--in", "{gone}.hsc", "--out", "{out}.hsc"],
+], ids=lambda argv: argv[0])
+def test_a_missing_input_exits_io(tmp_path, capsys, argv):
+    argv = [a.format(gone=tmp_path / "missing", out=tmp_path / "out") for a in argv]
+    assert main(argv) == EXIT_IO
+    assert "missing" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_rejects_a_zero_factor(synth):

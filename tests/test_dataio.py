@@ -38,7 +38,11 @@ def test_cube_round_trip_is_bit_exact(tmp_path, band_valid):
     lambda b: b[:-1],                                # truncated payload
     lambda b: b[:10],                                # truncated extents
     lambda b: b + b"\x00",                           # one trailing byte
-], ids=["magic", "version", "truncated", "truncated-header", "trailing"])
+    lambda b: b[:6] + struct.pack("<3I", 0xFFFFFFFF, 0xFFFFFFFF, 3) + b[18:],  # huge extents
+    lambda b: b[:6] + struct.pack("<3I", 5, 7, 0xFFFFFFFF) + b[18:],  # huge band mask
+    lambda b: b[:6] + struct.pack("<3IB", 0, 7, 0xFFFFFFFF, 0),         # no lines, huge bands
+], ids=["magic", "version", "truncated", "truncated-header", "trailing", "huge-extents",
+        "huge-bands", "empty-huge-bands"])
 def test_corrupt_cube_raises_format_error(tmp_path, corrupt):
     path = tmp_path / "c.hsc"
     write_cube(cube(band_valid=[True, False, True]), path)

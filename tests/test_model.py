@@ -1,13 +1,14 @@
 """Model-level contracts: the frozen DPSRW001 container and exact streaming."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from dpsr.errors import ContractError, FormatError, NumericError
-from dpsr.model import (MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_forward_image,
-                        dpsr_step, load_params, save_params)
+from dpsr.model import (MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams, _record_bytes,
+                        dpsr_forward_image, dpsr_step, load_params, save_params)
 
 # sha256 and size of the seed-0 container of the small config below. Any
 # change to the parameter declarations, their order or the seeded draws
@@ -63,17 +64,31 @@ def test_container_round_trip_is_bit_exact(saved, kind):
         assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data), name
 
 
+def header_field(i, value):
+    """Overwrite config header field i (0 = bands .. 9 = ca_reduction)."""
+    return lambda b: b[:8 + 4 * i] + struct.pack("<I", value) + b[12 + 4 * i:]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda b: b"DPSRW002" + b[8:],       # bad magic
     lambda b: b[:-1],                    # truncated payload
     lambda b: b[:30],                    # truncated header
     lambda b: b + b"\x00",               # one trailing byte
-], ids=["magic", "truncated", "truncated-header", "trailing"])
+    header_field(1, 0xFFFFFFFE),         # features: 192 GiB in sfe.conv_w alone
+    header_field(7, 0xFFFFFFFF),         # n_clff
+], ids=["magic", "truncated", "truncated-header", "trailing", "huge-features", "huge-n-clff"])
 def test_corrupt_container_raises_format_error(saved, corrupt):
     _, path = saved("mamba")
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(FormatError):
         load_params(path)
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_header_sizes_every_tensor_record(saved, kind):
+    # the size load_params checks against the file before it allocates
+    params, path = saved(kind)
+    assert path.stat().st_size == len(MAGIC) + 40 + _record_bytes(params.config)
 
 
 def state_arrays(state):

@@ -5,6 +5,7 @@ import pytest
 
 from dpsr import train
 from dpsr.blocks import composes
+from dpsr.dataio import make_synthetic
 from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
 from gradcheck import grad_check, tensor_grad_check
@@ -94,3 +95,16 @@ def test_whole_model_gradient(kind, up_features, count, composed):
         lambda: train.loss_terms(dpsr_forward_image(lr, params), hr, ALPHA_S, ALPHA_G)[0],
         named)
     assert max(ratios.values()) <= 1, sorted(ratios.items(), key=lambda kv: -kv[1])[:5]
+
+
+def test_fit_is_deterministic_per_seed(tmp_path):
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=2, max_steps=3, patch=16, eval_every=1, seed=11)
+    cubes = [make_synthetic(s, 32, 32, 4) for s in (1, 2)]
+    logs = []
+    for run in range(2):
+        _, log = train.fit(cubes[:1], cubes[1:], cfg, tc)
+        train.write_log(log, tmp_path / f"{run}.csv")
+        logs.append((tmp_path / f"{run}.csv").read_bytes())
+    assert logs[0] == logs[1]
+    assert len(logs[0].splitlines()) == 1 + 3
