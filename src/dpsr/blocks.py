@@ -328,24 +328,24 @@ def bilinear_two_line(prev, curr, scale):
 
     (.., W, C) stacks of line pairs -> (.., r, r*W, C). Output line k of r
     sits at fraction k/r of the way from `prev` to `curr`; across-track
-    position i interpolates low-res columns floor(i/r) and floor(i/r)+1,
-    clamping at the right edge. Returns an ndarray; this path carries no
-    gradient.
+    position j*r + b sits at fraction b/r of the way from low-res column j
+    to column j+1, clamping at the right edge. Each blended line and its
+    left-shifted neighbour are combined once per sub-pixel b into an
+    (.., r, W, r, C) array, which reshapes to (.., r, r*W, C) for free.
+    Returns an ndarray; this path carries no gradient.
     """
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     if prev.shape != curr.shape:
         raise ShapeError(f"bilinear: line shapes differ {prev.shape} vs {curr.shape}")
     r = int(scale)
-    w = prev.shape[-2]
-    i = np.arange(w * r, dtype=prev.dtype)
-    pos = i / r
-    j0 = np.floor(pos).astype(np.int64)
-    frac = (pos - j0).astype(prev.dtype)[:, None]
-    j1 = np.minimum(j0 + 1, w - 1)
-    out = np.empty(prev.shape[:-2] + (r, w * r, prev.shape[-1]), dtype=prev.dtype)
+    w, c = prev.shape[-2:]
+    out = np.empty(prev.shape[:-2] + (r, w, r, c), dtype=prev.dtype)
     for k in range(r):
         a = np.asarray(k / r, dtype=prev.dtype)
         line = (1 - a) * prev + a * curr
-        out[..., k, :, :] = (1 - frac) * line[..., j0, :] + frac * line[..., j1, :]
-    return out
+        nxt = np.concatenate([line[..., 1:, :], line[..., -1:, :]], axis=-2)
+        for b in range(r):
+            f = np.asarray(b / r, dtype=prev.dtype)
+            out[..., k, :, b, :] = (1 - f) * line + f * nxt
+    return out.reshape(prev.shape[:-2] + (r, w * r, c))

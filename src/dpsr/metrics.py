@@ -97,7 +97,10 @@ def sam_degrees(pred, ref):
     """Mean spectral angle over pixels; zero-norm pixels are skipped.
 
     pred/ref: (.., C) arrays restricted to valid bands. Returns
-    (mean angle in degrees, number of skipped pixels).
+    (mean angle in degrees, number of skipped pixels). The angle between
+    unit spectra u, v is 2*atan2(|u - v|, |u + v|), which is exactly 0 for
+    identical spectra and keeps full precision at small angles, where
+    arccos of a rounded cosine does neither.
     """
     p = pred.reshape(-1, pred.shape[-1]).astype(np.float64)
     t = ref.reshape(-1, ref.shape[-1]).astype(np.float64)
@@ -107,9 +110,16 @@ def sam_degrees(pred, ref):
     skipped = int((~ok).sum())
     if not ok.any():
         return 0.0, skipped
-    cosang = np.sum(p[ok] * t[ok], axis=1) / (pn[ok] * tn[ok])
-    ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return float(ang.mean()), skipped
+    if not ok.all():
+        p, t, pn, tn = p[ok], t[ok], pn[ok], tn[ok]
+    # in place on the float64 copies: no more pixel-by-band arrays live at once
+    # than the two inputs, their sum and its square
+    p /= pn[:, None]
+    t /= tn[:, None]
+    across = np.linalg.norm(p + t, axis=1)
+    p -= t
+    ang = 2.0 * np.arctan2(np.linalg.norm(p, axis=1), across)
+    return float(np.degrees(ang).mean()), skipped
 
 
 def evaluate(pred, ref, r):

@@ -326,6 +326,38 @@ def test_bilinear_on_a_stack_equals_per_line_calls(dtype):
         assert np.array_equal(out[y], bilinear_two_line(prev[y], curr[y], 4))
 
 
+def _bilinear_gather(prev, curr, r):
+    """The bilinear base by gathering columns floor(i/r) and floor(i/r)+1
+    at fraction i/r - floor(i/r), computed in the input's dtype."""
+    w = prev.shape[-2]
+    pos = np.arange(w * r, dtype=prev.dtype) / r
+    j0 = np.floor(pos).astype(np.int64)
+    frac = (pos - j0).astype(prev.dtype)[:, None]
+    j1 = np.minimum(j0 + 1, w - 1)
+    out = np.empty(prev.shape[:-2] + (r, w * r, prev.shape[-1]), dtype=prev.dtype)
+    for k in range(r):
+        a = np.asarray(k / r, dtype=prev.dtype)
+        line = (1 - a) * prev + a * curr
+        out[..., k, :, :] = (1 - frac) * line[..., j0, :] + frac * line[..., j1, :]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(31, 32, 16), (250, 66)], ids=["train", "stream"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_bilinear_equals_the_column_gather(shape, dtype, r):
+    prev, curr = np.random.default_rng(r).random((2,) + shape).astype(dtype)
+    got, want = bilinear_two_line(prev, curr, r), _bilinear_gather(prev, curr, r)
+    assert got.shape == want.shape and got.dtype == dtype
+    if r in (2, 4):                     # i/r - floor(i/r) == b/r exactly
+        assert np.array_equal(got, want)
+    else:
+        # i/r rounds in the gather: at float32 by up to ulp(W) (about 1.5e-5
+        # at W = 250), which the sub-pixel form does not do
+        tol = 1e-12 if dtype == np.float64 else 2 * np.spacing(np.float32(shape[-2]))
+        assert np.max(np.abs(got - want)) <= tol
+
+
 def test_bilinear_shape_mismatch():
     with pytest.raises(ShapeError):
         bilinear_two_line(np.zeros((3, 2)), np.zeros((4, 2)), 2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dpsr
-from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, build_parser, main
+from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, build_parser, main
 from dpsr.dataio import HsiCube, write_cube
 from dpsr.model import DpsrConfig, DpsrParams, save_params
 from dpsr.stream import PRISMA_LINE_MS
@@ -119,6 +119,19 @@ def test_sr_stream_rejects_a_non_finite_weight(files, tmp_path, capsys, bad):
     assert "clff1.mem.a_log: non-finite weight" in capsys.readouterr().err
 
 
+# the overflow warnings are the failure under test; the CLI must turn it into exit 1
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sr_stream_exits_numeric_when_finite_weights_overflow_the_latent(files, tmp_path, capsys):
+    argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc")]
+    params = DpsrParams.init(DpsrConfig(bands=4, features=8, up_features=4, state_size=4))
+    params.clff[0][1].b_w.data[:] = 1e30
+    assert np.isfinite(params.clff[0][1].b_w.data).all()
+    save_params(params, tmp_path / "m.dpsrw")    # over the fixture's model
+    assert main(argv) == EXIT_NUMERIC
+    assert "non-finite SSM latent" in capsys.readouterr().err
+    assert not (tmp_path / "sr.hsc").exists()
+
+
 @pytest.mark.parametrize("which, corrupt", [
     ("m.dpsrw", lambda b: b[:12] + struct.pack("<I", 0xFFFFFFFE) + b[16:]),   # features
     ("lr.hsc", lambda b: b[:6] + struct.pack("<3I", 0xFFFFFFFF, 0xFFFFFFFF, 3) + b[18:]),
@@ -220,6 +233,22 @@ def test_train_rejects_a_non_positive_size(synth, capsys, key, value):
     assert main(train_argv(synth)) == EXIT_CONTRACT
     assert key in capsys.readouterr().err
     assert not (synth / "out" / "m.dpsrw").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_exits_numeric_when_it_diverges(synth, capsys):
+    (synth / "out").mkdir()
+    assert main(train_argv(synth, "--steps", "3", "--patch", "16", "--lr", "1e30")) == EXIT_NUMERIC
+    assert "error: non-finite" in capsys.readouterr().err
+    assert not (synth / "out" / "m.dpsrw").exists()
+
+
+def test_make_synth_exits_io_under_a_regular_file(tmp_path, capsys):
+    # a path through a file cannot be created whoever runs it, unlike a read-only directory
+    (tmp_path / "plain").write_text("not a directory")
+    assert main(["make-synth", "--out-dir", str(tmp_path / "plain" / "d")]) == EXIT_IO
+    assert "plain" in capsys.readouterr().err
+    assert (tmp_path / "plain").read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from dpsr.dataio import HsiCube, bicubic_downsample, read_cube, write_cube
+from dpsr.dataio import (HsiCube, bicubic_downsample, catmull_rom, read_cube,
+                         resample_matrix, write_cube)
 from dpsr.errors import ContractError, FormatError, positive_int
 
 
@@ -90,7 +91,7 @@ def _oracle(data, r):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-@pytest.mark.parametrize("out_extent", [(6, 9), (1, 2)])
+@pytest.mark.parametrize("out_extent", [(6, 9), (1, 2), (16, 12)])
 def test_bicubic_downsample_matches_direct_catmull_rom_sum(r, out_extent):
     h, w = out_extent[0] * r, out_extent[1] * r
     src = cube((h, w, 3), seed=r, band_valid=[True, True, False])
@@ -98,6 +99,39 @@ def test_bicubic_downsample_matches_direct_catmull_rom_sum(r, out_extent):
     assert got.data.shape == (h // r, w // r, 3)
     assert np.array_equal(got.band_valid, src.band_valid)
     assert np.max(np.abs(got.data.astype(np.float64) - _oracle(src.data, r))) <= 1e-12
+
+
+def _loop_matrix(n, r):
+    """The decimation operator built one output row at a time, each row's
+    taps from its own support and summed in tap order."""
+    mat = np.zeros((n // r, n))
+    for o in range(n // r):
+        x = (o + 0.5) * r - 0.5
+        taps = np.arange(int(np.ceil(x - 2 * r)), int(np.floor(x + 2 * r)) + 1)
+        wts = catmull_rom((x - taps) / r)
+        wts = wts / wts.sum()
+        for t, w in zip(taps, wts):
+            mat[o, _reflect(t, n)] += w
+    return mat
+
+
+@pytest.mark.parametrize("n, r", [(128, 4), (111, 3), (20, 2), (7, 7), (8, 1)])
+def test_resample_matrix_rows_sum_to_one_and_mirror(n, r):
+    mat = resample_matrix(n, r)
+    assert mat.shape == (n // r, n)
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-15
+    # the centres (o + 0.5) r - 0.5 mirror about (n - 1) / 2, and so does the reflection
+    assert np.max(np.abs(mat[::-1, ::-1] - mat)) <= 1e-15
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (8, 1), (4, 2), (6, 2), (3, 3), (9, 3),
+                                  (4, 4), (12, 4), (5, 5), (7, 7)])
+def test_resample_matrix_equals_a_per_row_loop(n, r):
+    # n < 4r: a row's taps reflect more than once off both borders
+    mat = resample_matrix(n, r)
+    assert np.array_equal(mat, _loop_matrix(n, r))
+    if r == 1:
+        assert np.array_equal(mat, np.eye(n))
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.5, float("inf")])

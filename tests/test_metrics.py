@@ -70,6 +70,21 @@ def test_sam_skips_and_counts_zero_norm_pixels():
     assert metrics.sam_degrees(np.zeros((2, 3)), np.ones((2, 3))) == (0.0, 2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 3.5e-3])
+def test_sam_keeps_full_precision_at_small_angles(scale):
+    # arccos of cos(1e-6) loses about four digits: it read 9.9993e-7 rad
+    theta = 1e-6
+    # each pair is rotated by theta within a coordinate plane, so building
+    # the spectra rounds nothing that moves the angle by more than 1e-16 of it
+    c, s = np.cos(theta), np.sin(theta)
+    ref = scale * np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    pred = scale * np.array([[c, s, 0.0], [0.0, 2.0 * s, 2.0 * c]])
+    angle, skipped = metrics.sam_degrees(pred, ref)
+    assert skipped == 0
+    assert np.radians(angle) == pytest.approx(theta, rel=1e-12, abs=0)
+    assert metrics.sam_degrees(pred, pred.copy()) == (0.0, 0)
+
+
 def test_evaluate_crops_the_last_r_lines_and_drops_invalid_bands():
     rng = np.random.default_rng(5)
     r = 2
@@ -85,7 +100,7 @@ def test_evaluate_crops_the_last_r_lines_and_drops_invalid_bands():
     assert report.mpsnr_db == metrics.PSNR_CAP_DB
     assert report.mssim == pytest.approx(1.0, rel=1e-12)
     assert (report.rmse, report.sam_pixels_skipped) == (0.0, 0)
-    assert report.sam_deg == pytest.approx(0.0, abs=1e-5)      # arccos of a rounded 1
+    assert report.sam_deg == 0.0
     # the same band flagged on the reference only is dropped too
     report = evaluate(HsiCube(pred), HsiCube(ref, band_valid=[True, False, True]), r)
     assert report.bands_used == 2 and report.rmse == 0.0
