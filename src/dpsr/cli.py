@@ -1,8 +1,11 @@
 """Command-line front end for the whole pipeline.
 
-Subcommands: make-synth, degrade, train, sr-stream, eval, profile,
-simulate. Every run drops a manifest next to its outputs with the resolved
-configuration, so results can be reproduced from the artifacts alone.
+Subcommands: make-synth, degrade, train, sr-stream, eval, profile.
+`make-synth`, `degrade`, `train` and `sr-stream --out` drop a manifest next
+to their outputs with the resolved configuration, so results can be
+reproduced from the artifacts alone. `sr-stream` without `--out` is the
+onboard budget/cadence replay: it streams the cube and prints the timing
+but writes no cube and no manifest.
 
 The model flags (`--state-size` etc.) and the keys of the model and
 training key=value files come from the fields of `DpsrConfig` and
@@ -55,13 +58,14 @@ def parse_config_file(path, schema):
     return values
 
 
-def write_manifest(out_dir, command, args_ns, resolved, config_path=None):
+def write_manifest(out_dir, command, resolved, seed=None, inputs=(), outputs=(),
+                   config_path=None):
     manifest = {
         "command": command,
         "config_file": config_path or "",
-        "seed": getattr(args_ns, "seed", None),
-        "inputs": resolved.pop("_inputs", []),
-        "outputs": resolved.pop("_outputs", []),
+        "seed": seed,
+        "inputs": inputs,
+        "outputs": outputs,
         "resolved_config": resolved,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -69,12 +73,12 @@ def write_manifest(out_dir, command, args_ns, resolved, config_path=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _merge_flags(file_values, args, schema):
-    """Config file values, overridden by every flag of `schema` that was given."""
-    merged = dict(file_values)
+def _merged(args, path, schema):
+    """The key=value file at `path` (if given), overridden by every flag of
+    `schema` that was given."""
+    merged = parse_config_file(path, schema) if path else {}
     for key in schema:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -82,8 +86,8 @@ def _merge_flags(file_values, args, schema):
     return merged
 
 
-def _model_config(args, file_values):
-    merged = _merge_flags(file_values, args, MODEL_KEYS)
+def _model_config(args):
+    merged = _merged(args, args.config, MODEL_KEYS)
     if "bands" not in merged:
         raise ConfigError("model config needs at least 'bands'")
     return DpsrConfig(**merged)
@@ -102,13 +106,6 @@ def cmd_make_synth(args):
     for name in ("count", "height", "width", "bands"):
         check_positive(name, getattr(args, name))
     os.makedirs(args.out_dir, exist_ok=True)
-    probe = os.path.join(args.out_dir, ".write_probe")
-    try:
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
-    except OSError:
-        raise OSError(f"output directory {args.out_dir!r} is not writable")
     names = []
     for i in range(args.count):
         cube = make_synthetic(args.seed + i, args.height, args.width,
@@ -119,9 +116,8 @@ def cmd_make_synth(args):
     resolved = {
         "count": args.count, "height": args.height, "width": args.width,
         "bands": args.bands, "smoothness": args.smoothness, "seed": args.seed,
-        "_outputs": names,
     }
-    write_manifest(args.out_dir, "make-synth", args, resolved)
+    write_manifest(args.out_dir, "make-synth", resolved, seed=args.seed, outputs=names)
     print(f"wrote {args.count} cubes to {args.out_dir}")
     return 0
 
@@ -132,10 +128,8 @@ def cmd_degrade(args):
     cube = read_cube(args.input)
     lr = bicubic_downsample(cube, args.factor)
     write_cube(lr, args.output)
-    resolved = {"factor": args.factor, "_inputs": [args.input],
-                "_outputs": [args.output]}
-    write_manifest(os.path.dirname(os.path.abspath(args.output)),
-                   "degrade", args, resolved, None)
+    write_manifest(os.path.dirname(os.path.abspath(args.output)), "degrade",
+                   {"factor": args.factor}, inputs=[args.input], outputs=[args.output])
     print(f"{cube.height}x{cube.width}x{cube.bands} -> "
           f"{lr.height}x{lr.width}x{lr.bands}")
     return 0
@@ -154,10 +148,8 @@ def cmd_train(args):
     from .model import save_params
     from .train import fit, write_log
 
-    file_values = parse_config_file(args.config, MODEL_KEYS) if args.config else {}
-    mcfg = _model_config(args, file_values)
-    tfile = parse_config_file(args.train_config, TRAIN_KEYS) if args.train_config else {}
-    tcfg = TrainConfig(**_merge_flags(tfile, args, TRAIN_KEYS))
+    mcfg = _model_config(args)
+    tcfg = TrainConfig(**_merged(args, args.train_config, TRAIN_KEYS))
 
     train_cubes = _load_cubes(args.data_dir)
     val_cubes = _load_cubes(args.val_dir) if args.val_dir else []
@@ -166,11 +158,10 @@ def cmd_train(args):
     log_path = args.out + ".log.csv"
     write_log(log, log_path)
 
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    resolved = {**dataclasses.asdict(mcfg), **dataclasses.asdict(tcfg),
-                "_inputs": [args.data_dir, args.val_dir or ""],
-                "_outputs": [args.out, log_path]}
-    write_manifest(out_dir, "train", args, resolved, args.config)
+    write_manifest(os.path.dirname(os.path.abspath(args.out)), "train",
+                   {**dataclasses.asdict(mcfg), **dataclasses.asdict(tcfg)}, seed=tcfg.seed,
+                   inputs=[args.data_dir, args.val_dir or ""], outputs=[args.out, log_path],
+                   config_path=args.config)
     best = max((r.val_mpsnr for r in log if r.val_mpsnr is not None),
                default=float("nan"))
     print(f"trained {len(log)} steps; best val MPSNR {best:.2f} dB; saved {args.out}")
@@ -182,18 +173,23 @@ def cmd_sr_stream(args):
     from .model import load_params
     from .stream import run_stream
 
+    if args.cadence_ms is not None:
+        check_positive("cadence_ms", args.cadence_ms)
     params = load_params(args.model)
     cube = read_cube(args.input)
     sr, report = run_stream(cube, params, budget_ms=args.budget_ms)
-    write_cube(sr, args.output)
     if args.report:
         report.write_csv(args.report)
-    out_dir = os.path.dirname(os.path.abspath(args.output)) or "."
-    resolved = {"budget_ms": args.budget_ms,
-                "_inputs": [args.model, args.input],
-                "_outputs": [args.output] + ([args.report] if args.report else [])}
-    write_manifest(out_dir, "sr-stream", args, resolved)
+    if args.output:
+        write_cube(sr, args.output)
+        write_manifest(os.path.dirname(os.path.abspath(args.output)), "sr-stream",
+                       {"budget_ms": args.budget_ms, "cadence_ms": args.cadence_ms},
+                       inputs=[args.model, args.input],
+                       outputs=[args.output] + ([args.report] if args.report else []))
     print(report.table())
+    if args.cadence_ms is not None:
+        print(f"cadence {args.cadence_ms:.3f} ms: {report.count_late(args.cadence_ms)} "
+              f"lines finished after the next acquisition")
     return 0
 
 
@@ -222,33 +218,11 @@ def cmd_eval(args):
 def cmd_profile(args):
     from .profiler import profile
 
-    file_values = parse_config_file(args.config, MODEL_KEYS) if args.config else {}
-    cfg = _model_config(args, file_values)
-    report = profile(cfg, width=args.width)
+    report = profile(_model_config(args), width=args.width)
     print(report.table())
     print()
     print(report.row_header())
     print(report.row())
-    return 0
-
-
-def cmd_simulate(args):
-    from .dataio import read_cube
-    from .model import load_params
-    from .stream import run_stream
-
-    if args.cadence_ms is not None:
-        check_positive("cadence_ms", args.cadence_ms)
-    params = load_params(args.model)
-    cube = read_cube(args.input)
-    _, report = run_stream(cube, params, budget_ms=args.budget_ms)
-    late = None if args.cadence_ms is None else report.count_late(args.cadence_ms)
-    print(report.table())
-    if late is not None:
-        print(f"cadence {args.cadence_ms:.3f} ms: {late} lines finished "
-              f"after the next acquisition")
-    if args.report:
-        report.write_csv(args.report)
     return 0
 
 
@@ -286,11 +260,19 @@ def build_parser():
     s.add_argument("--patch", type=int)
     s.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("sr-stream", help="stream a cube through a trained model")
+    s = sub.add_parser(
+        "sr-stream", help="stream a cube through a trained model, timing each line",
+        description="Stream a cube line by line through a trained model and print "
+                    "per-line timing against the line budget. Without --out this is "
+                    "the budget/cadence replay: no cube and no manifest are written.")
     s.add_argument("--model", required=True)
     s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--out", dest="output", required=True)
+    s.add_argument("--out", dest="output",
+                   help="write the SR cube here, and a manifest next to it")
     s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS)
+    s.add_argument("--cadence-ms", dest="cadence_ms", type=float,
+                   help="also count lines finished after the next acquisition "
+                        "at this fixed line cadence")
     s.add_argument("--report", help="write per-line latency CSV here")
     s.set_defaults(func=cmd_sr_stream)
 
@@ -307,14 +289,6 @@ def build_parser():
     _add_model_flags(s)
     s.add_argument("--width", type=int, default=32)
     s.set_defaults(func=cmd_profile)
-
-    s = sub.add_parser("simulate", help="replay a stream against a line budget")
-    s.add_argument("--model", required=True)
-    s.add_argument("--in", dest="input", required=True)
-    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS)
-    s.add_argument("--cadence-ms", dest="cadence_ms", type=float)
-    s.add_argument("--report")
-    s.set_defaults(func=cmd_simulate)
     return p
 
 

@@ -61,6 +61,11 @@ class DpsrConfig:
     def inner(self):
         return self.expand * self.features
 
+    @property
+    def selective(self):
+        """Whether the memory blocks carry the selective SSM (else the causal-conv ablation)."""
+        return self.memory_kind == "mamba"
+
 
 @dataclass
 class DpsrParams:
@@ -79,7 +84,7 @@ class DpsrParams:
             sfe=make(SfeParams, c.bands, c.features, c.ca_reduction),
             clff=[(make(NafParams, c.features),
                    make(ssm.MemoryParams, c.features, c.expand, c.state_size,
-                        c.kernel_lines, c.memory_kind == "mamba"))
+                        c.kernel_lines, c.selective))
                   for _ in range(c.n_clff)],
             upsampler=make(UpsamplerParams, c.features, c.up_features, c.scale, c.bands),
         )
@@ -127,13 +132,13 @@ def init_stream(params, width, dtype=np.float32):
                             for _, mem in params.clff])
 
 
-def _memory(z, mem_params, mstate, kind, whole):
+def _memory(z, mem_params, mstate, selective, whole):
     # One forward under two names: the whole-image forward enters by
     # `*_scan` (from the zero state), a stream by `*_step`, so per-layer
     # timings keep training and streaming memory time apart.
     if whole:
-        return (ssm.mamba_scan if kind == "mamba" else ssm.causalconv_scan)(z, mem_params)
-    return (ssm.mamba_step if kind == "mamba" else ssm.causalconv_step)(z, mem_params, mstate)
+        return (ssm.mamba_scan if selective else ssm.causalconv_scan)(z, mem_params)
+    return (ssm.mamba_step if selective else ssm.causalconv_step)(z, mem_params, mstate)
 
 
 def _first_bad_line(a):
@@ -144,6 +149,9 @@ def _first_bad_line(a):
     return int(np.argmin(finite.all(axis=tuple(range(1, a.ndim)))))
 
 
+# NumPy's overflow warnings are silenced: the finite checks below turn a
+# value that overflowed into a NumericError naming the block and line.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _forward(x, params, state):
     """(L, W, C) lines that follow `state` -> (out Tensor, next StreamState).
 
@@ -164,7 +172,7 @@ def _forward(x, params, state):
     new_mem = []
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
-        z, mstate = _memory(z, mem, mstate, cfg.memory_kind, whole)
+        z, mstate = _memory(z, mem, mstate, cfg.selective, whole)
         # a non-finite latent reaches z through the readout, gate and output
         # projection, so the (L, W, F) output is checked, not the (L, W, N, EF) latent
         row = None if mstate.h is None else _first_bad_line(z.data)

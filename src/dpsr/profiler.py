@@ -127,7 +127,7 @@ def _memory_items(cfg, s, w, tag):
         _affine(f"{tag}.causal_conv", s, w, "conv_w", "conv_b"),
         CostItem(f"{tag}.act", 0, 2 * w * ef * SILU_FLOPS),
     ]
-    if cfg.memory_kind == "mamba":
+    if cfg.selective:
         items += [
             _affine(f"{tag}.dt_proj", s, w, "dt_w", "dt_b"),
             CostItem(f"{tag}.dt_softplus", 0, w * ef * 3),

@@ -43,7 +43,7 @@ def account_state_bytes(config, width):
     for i in range(config.n_clff):
         conv = (config.kernel_lines - 1) * w * ef * STATE_SCALAR_BYTES
         items.append((f"clff{i}.conv_tail[(K-1)xWxEF]", conv))
-        if config.memory_kind == "mamba":
+        if config.selective:
             latent = w * ef * config.state_size * STATE_SCALAR_BYTES
             items.append((f"clff{i}.ssm_latent[WxNxEF]", latent))
     items.append(("prev_line[WxC]", w * config.bands * STATE_SCALAR_BYTES))

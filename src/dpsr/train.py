@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import HsiCube, augment8, bicubic_downsample, extract_patches
-from .errors import ContractError, NumericError, check_positive
+from .errors import ContractError, NumericError, positive_int
 from .metrics import evaluate
 from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
@@ -43,7 +43,7 @@ class TrainConfig:
             if not 0 <= value < math.inf:
                 raise ContractError(f"{name} must be finite and >= 0, got {value}")
         for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
-            check_positive(name, getattr(self, name))
+            setattr(self, name, positive_int(name, getattr(self, name)))
 
 
 def loss_terms(pred, target, alpha_s, alpha_g):
@@ -142,6 +142,8 @@ def adam_step(named_params, grads, state, lr):
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        if not np.isfinite(p.data).all():     # a finite lr can still overflow float32
+            raise NumericError(f"non-finite update for parameter {name}")
 
 
 @dataclass
@@ -213,7 +215,9 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     best, best_score, evals_since_best = None, -np.inf, 0
     for step in range(1, tc.max_steps + 1):
         picks = rng.integers(0, len(pairs), size=tc.batch_size)
-        with Tape() as tape:
+        # NumPy's overflow warnings are silenced: the loss, the gradients and
+        # the updated parameters are checked for finite values instead
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), Tape() as tape:
             total = None
             parts = np.zeros(3)
             for idx in picks:
@@ -228,7 +232,7 @@ def fit(train_cubes, val_cubes, model_config, train_config):
             if not np.isfinite(loss_val):
                 raise NumericError(f"training diverged at step {step}")
             grads = tape.gradients(total, [p for _, p in named])
-        adam_step(named, grads, opt, tc.lr)
+            adam_step(named, grads, opt, tc.lr)     # in-place NumPy updates; nothing is taped
         parts /= tc.batch_size
 
         row = LogRow(step=step, loss=loss_val, l1=parts[0], sam=parts[1],

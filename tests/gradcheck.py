@@ -33,25 +33,24 @@ def _tape_and_numeric(f, params, step):
 
 
 def grad_check(f, params, step=1e-5):
-    """Max relative error between tape gradients and central differences.
+    """Worst relative error of any tensor's tape gradient against central differences.
 
-    `f()` must rebuild the forward pass from `params` (a list of Tensors)
-    and return a scalar Tensor. Everything must be in float64.
+    A tensor's error is its largest |g - num| over its largest |num| (floor
+    1e-8): the bound scales with the tensor's largest gradient, so entries
+    near zero, where the central difference is all roundoff, cannot fail a
+    tensor whose gradient is right. `f()` must rebuild the forward pass
+    from `params` (a list of Tensors) and return a scalar Tensor.
+    Everything must be in float64.
     """
-    worst = 0.0
-    for g, num in zip(*_tape_and_numeric(f, params, step)):
-        rel = np.abs(g - num) / np.maximum(np.maximum(np.abs(g), np.abs(num)), 1e-8)
-        worst = max(worst, float(rel.max(initial=0.0)))
-    return worst
+    return max(float(np.abs(g - num).max(initial=0.0) / max(np.abs(num).max(initial=0.0), 1e-8))
+               for g, num in zip(*_tape_and_numeric(f, params, step)))
 
 
 def tensor_grad_check(f, named_params, rtol=1e-4, atol=1e-10, step=1e-5):
     """{name: max|g - num| / (rtol * max|num| + atol)} per tensor; <= 1 passes.
 
-    Unlike `grad_check`'s per-element relative error, the bound scales with
-    each tensor's largest gradient, so entries near zero, where the central
-    difference is all roundoff, cannot fail a tensor whose gradient is
-    right. `f` and float64 as for `grad_check`.
+    `grad_check`'s rule with a tolerance, per named tensor. `f` and float64
+    as for `grad_check`.
     """
     names, params = zip(*named_params)
     analytic, numeric = _tape_and_numeric(f, params, step)

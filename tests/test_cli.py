@@ -1,4 +1,4 @@
-"""Command-line parser defaults, exit codes and the DPSR_THREADS cap."""
+"""Command-line parser defaults, exit codes, manifests and the DPSR_THREADS cap."""
 
 import json
 import os
@@ -38,7 +38,7 @@ print(seen)
 
 @pytest.mark.parametrize("argv", [
     ["sr-stream", "--model", "m.dpsrw", "--in", "lr.hsc", "--out", "sr.hsc"],
-    ["simulate", "--model", "m.dpsrw", "--in", "lr.hsc"],
+    ["sr-stream", "--model", "m.dpsrw", "--in", "lr.hsc"],
 ])
 def test_budget_defaults_to_the_prisma_line_period(argv):
     args = build_parser().parse_args(argv)
@@ -75,10 +75,24 @@ def files(tmp_path):
     return make
 
 
-def test_simulate_reports_the_cadence_timeline(files, capsys):
-    assert main(["simulate", *files(), "--cadence-ms", "1000"]) == 0
-    assert "cadence 1000.000 ms: 0 lines finished after the next acquisition" in \
-        capsys.readouterr().out
+def test_simulate_is_not_a_command():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--model", "m.dpsrw", "--in", "lr.hsc"])
+
+
+# "simulate" names the replay: sr-stream without --out, which writes no cube
+# and no manifest
+def test_simulate_reports_the_cadence_timeline(files, tmp_path, capsys):
+    argv = ["sr-stream", *files(), "--cadence-ms", "1000", "--report", str(tmp_path / "l.csv")]
+    before = set(tmp_path.iterdir())
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0] for line in out[:8]] == [
+        "lines processed", "budget", "first line (priming)", "mean latency", "p95 latency",
+        "max latency", "deadline misses", "state memory"]
+    assert out[8:] == ["cadence 1000.000 ms: 0 lines finished after the next acquisition"]
+    assert set(tmp_path.iterdir()) - before == {tmp_path / "l.csv"}
+    assert len((tmp_path / "l.csv").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize("extra", [
@@ -86,13 +100,13 @@ def test_simulate_reports_the_cadence_timeline(files, capsys):
     ["--budget-ms", "nan"], ["--budget-ms", "0"],
 ])
 def test_simulate_rejects_non_positive_budget_and_cadence(files, extra):
-    assert main(["simulate", *files(), *extra]) == EXIT_CONTRACT
+    assert main(["sr-stream", *files(), *extra]) == EXIT_CONTRACT
 
 
 @pytest.mark.parametrize("cadence", ["0", "nan"])
 def test_simulate_rejects_the_cadence_before_reading_any_file(tmp_path, cadence):
     # neither file exists, so a check made after loading would exit with an I/O error
-    argv = ["simulate", "--model", str(tmp_path / "none.dpsrw"),
+    argv = ["sr-stream", "--model", str(tmp_path / "none.dpsrw"),
             "--in", str(tmp_path / "none.hsc"), "--cadence-ms", cadence]
     assert main(argv) == EXIT_CONTRACT
 
@@ -119,8 +133,6 @@ def test_sr_stream_rejects_a_non_finite_weight(files, tmp_path, capsys, bad):
     assert "clff1.mem.a_log: non-finite weight" in capsys.readouterr().err
 
 
-# the overflow warnings are the failure under test; the CLI must turn it into exit 1
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sr_stream_exits_numeric_when_finite_weights_overflow_the_latent(files, tmp_path, capsys):
     argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc")]
     params = DpsrParams.init(DpsrConfig(bands=4, features=8, up_features=4, state_size=4))
@@ -177,25 +189,50 @@ def train_argv(root, *extra):
             "--out", str(root / "out" / "m.dpsrw"), *extra]
 
 
+def manifest(path):
+    """The manifest at `path` without its timestamp, the one field that varies by run."""
+    fields = json.loads(path.read_text())
+    assert fields.pop("timestamp").endswith("Z")
+    return fields
+
+
 def test_pipeline_end_to_end(synth, capsys):
     hr, lr, sr = synth / "data" / "synth_00005.hsc", synth / "lr" / "lr.hsc", synth / "sr.hsc"
     (synth / "lr").mkdir()
     (synth / "out").mkdir()
+    assert manifest(synth / "data" / "make_synth.manifest.json") == {
+        "command": "make-synth", "config_file": "", "seed": 5, "inputs": [],
+        "outputs": ["synth_00005.hsc", "synth_00006.hsc"],
+        "resolved_config": {"count": 2, "height": 32, "width": 32, "bands": 4,
+                            "smoothness": 3.0, "seed": 5},
+    }
     assert main(["degrade", "--in", str(hr), "--out", str(lr), "--factor", "4"]) == 0
+    assert manifest(synth / "lr" / "degrade.manifest.json") == {
+        "command": "degrade", "config_file": "", "seed": None, "inputs": [str(hr)],
+        "outputs": [str(lr)], "resolved_config": {"factor": 4},
+    }
     assert main(train_argv(synth, "--steps", "2", "--seed", "7", "--lr", "1e-3",
                            "--patch", "16", "--features", "8", "--memory-kind", "mamba")) == 0
-    manifest = json.loads((synth / "out" / "train.manifest.json").read_text())
-    assert manifest["resolved_config"] == {
-        "bands": 4, "features": 8, "expand": 1, "state_size": 4, "kernel_lines": 4,
-        "up_features": 4, "scale": 4, "n_clff": 2, "memory_kind": "mamba",
-        "ca_reduction": 16, "lr": 1e-3, "alpha_s": 0.2, "alpha_g": 0.1,
-        "batch_size": 1, "max_steps": 2, "patch": 16, "seed": 7, "eval_every": 1,
-        "patience": 3,
+    model = str(synth / "out" / "m.dpsrw")
+    assert manifest(synth / "out" / "train.manifest.json") == {
+        "command": "train", "config_file": str(synth / "model.cfg"), "seed": 7,
+        "inputs": [str(synth / "data")] * 2, "outputs": [model, model + ".log.csv"],
+        "resolved_config": {
+            "bands": 4, "features": 8, "expand": 1, "state_size": 4, "kernel_lines": 4,
+            "up_features": 4, "scale": 4, "n_clff": 2, "memory_kind": "mamba",
+            "ca_reduction": 16, "lr": 1e-3, "alpha_s": 0.2, "alpha_g": 0.1,
+            "batch_size": 1, "max_steps": 2, "patch": 16, "seed": 7, "eval_every": 1,
+            "patience": 3,
+        },
     }
     assert len((synth / "out" / "m.dpsrw.log.csv").read_text().splitlines()) == 1 + 2
-    model = str(synth / "out" / "m.dpsrw")
     assert main(["sr-stream", "--model", model, "--in", str(lr), "--out", str(sr),
                  "--report", str(synth / "lines.csv")]) == 0
+    assert manifest(synth / "sr_stream.manifest.json") == {
+        "command": "sr-stream", "config_file": "", "seed": None, "inputs": [model, str(lr)],
+        "outputs": [str(sr), str(synth / "lines.csv")],
+        "resolved_config": {"budget_ms": PRISMA_LINE_MS, "cadence_ms": None},
+    }
     assert len((synth / "lines.csv").read_text().splitlines()) == 1 + 8
     assert main(["eval", "--pred", str(sr), "--ref", str(hr), "--factor", "4",
                  "--csv", str(synth / "eval.csv")]) == 0
@@ -235,11 +272,18 @@ def test_train_rejects_a_non_positive_size(synth, capsys, key, value):
     assert not (synth / "out" / "m.dpsrw").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_exits_numeric_when_it_diverges(synth, capsys):
     (synth / "out").mkdir()
     assert main(train_argv(synth, "--steps", "3", "--patch", "16", "--lr", "1e30")) == EXIT_NUMERIC
     assert "error: non-finite" in capsys.readouterr().err
+    assert not (synth / "out" / "m.dpsrw").exists()
+
+
+def test_train_exits_numeric_when_an_update_overflows(synth, capsys):
+    # finite gradients, but lr * step exceeds float32: nothing non-finite is saved
+    (synth / "out").mkdir()
+    assert main(train_argv(synth, "--steps", "1", "--patch", "16", "--lr", "1e39")) == EXIT_NUMERIC
+    assert "non-finite update for parameter" in capsys.readouterr().err
     assert not (synth / "out" / "m.dpsrw").exists()
 
 

@@ -392,6 +392,34 @@ def test_grad_check_requires_float64():
         grad_check(lambda: T.reduce_sum(x), [x])
 
 
+def test_grad_check_reads_roundoff_on_small_entries_as_roundoff():
+    # an input entry's gradient here is 2.23e-5 and its central difference
+    # 1.3e-6 off relative to it, which is roundoff: per tensor the error is 1.4e-10
+    rng = np.random.default_rng(214)
+    x = t64(rng.standard_normal((2, 3, 4, 3)))
+    w = t64(rng.standard_normal((3, 3, 1)))
+    b = t64(rng.standard_normal(3))
+    err = grad_check(lambda: T.reduce_mean(T.mul(T.conv1d(x, w, b), T.conv1d(x, w, b))),
+                     [x, w, b])
+    assert err < 1e-6
+
+
+def _one_entry_off(gx):
+    gx.flat[7] += 1e-5 * np.abs(gx).max()
+    return gx
+
+
+@pytest.mark.parametrize("wrong", [lambda gx: gx * (1 + 1e-5), _one_entry_off],
+                         ids=["scaled", "one-entry"])
+def test_grad_check_flags_a_wrong_gradient(wrong):
+    # sum(x^2) with a backward 1e-5 off, relative to the largest gradient
+    x = t64(np.random.default_rng(215).standard_normal((3, 4)))
+
+    def f():
+        return T.record(Tensor(np.sum(x.data ** 2)), (x,), lambda g: (wrong(g * 2 * x.data),))
+    assert 5e-6 < grad_check(f, [x]) < 2e-5
+
+
 # every primitive against central differences, many random instances
 _UNARY = [
     ("silu", T.silu), ("sigmoid", T.sigmoid), ("softplus", T.softplus),

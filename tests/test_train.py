@@ -6,6 +6,7 @@ import pytest
 from dpsr import train
 from dpsr.blocks import composes
 from dpsr.dataio import make_synthetic
+from dpsr.errors import ContractError
 from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
 from gradcheck import grad_check, tensor_grad_check
@@ -108,3 +109,11 @@ def test_fit_is_deterministic_per_seed(tmp_path):
         logs.append((tmp_path / f"{run}.csv").read_bytes())
     assert logs[0] == logs[1]
     assert len(logs[0].splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("name", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
+def test_train_config_sizes_must_be_integers(name):
+    with pytest.raises(ContractError, match=f"{name} must be an integer, got 1.5"):
+        train.TrainConfig(**{name: 1.5})
+    value = getattr(train.TrainConfig(**{name: 16.0}), name)
+    assert value == 16 and type(value) is int
