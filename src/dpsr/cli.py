@@ -160,8 +160,8 @@ def cmd_train(args):
 
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "train",
                    {**dataclasses.asdict(mcfg), **dataclasses.asdict(tcfg)}, seed=tcfg.seed,
-                   inputs=[args.data_dir, args.val_dir or ""], outputs=[args.out, log_path],
-                   config_path=args.config)
+                   inputs=[args.data_dir, args.val_dir or "", args.train_config or ""],
+                   outputs=[args.out, log_path], config_path=args.config)
     best = max((r.val_mpsnr for r in log if r.val_mpsnr is not None),
                default=float("nan"))
     print(f"trained {len(log)} steps; best val MPSNR {best:.2f} dB; saved {args.out}")

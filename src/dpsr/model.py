@@ -116,6 +116,14 @@ class StreamState:
     prev_line: np.ndarray | None = None
     lines_consumed: int = 0
 
+    @staticmethod
+    def spec(config, width):
+        """(label, shape) of every array a primed stream of `width` px holds."""
+        blocks = DpsrParams.build(config, lambda block, *dims: dims)
+        arrays = [(f"clff{i}.{label}", shape) for i, (_, mem) in enumerate(blocks.clff)
+                  for _, label, shape in ssm.MemoryState.spec(*mem, width)]
+        return arrays + [("prev_line[WxC]", (width, config.bands))]
+
     @property
     def width(self):
         return self.mem[0].width
@@ -134,10 +142,10 @@ def init_stream(params, width, dtype=np.float32):
 
 def _memory(z, mem_params, mstate, selective, whole):
     # One forward under two names: the whole-image forward enters by
-    # `*_scan` (from the zero state), a stream by `*_step`, so per-layer
-    # timings keep training and streaming memory time apart.
+    # `*_scan`, a stream by `*_step`, so per-layer timings keep training
+    # and streaming memory time apart.
     if whole:
-        return (ssm.mamba_scan if selective else ssm.causalconv_scan)(z, mem_params)
+        return (ssm.mamba_scan if selective else ssm.causalconv_scan)(z, mem_params, mstate)
     return (ssm.mamba_step if selective else ssm.causalconv_step)(z, mem_params, mstate)
 
 

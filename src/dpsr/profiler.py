@@ -3,7 +3,10 @@
 Counts are derived from shapes, never measured. Parameter counts are the
 sizes of the tensors each block declares in `ParamSet.spec`, and an affine
 layer's FLOPs follow from them; only FLOPs that no declared tensor carries
-have formulas of their own. Conventions:
+have formulas of their own. The streaming state is the arrays
+`StreamState.spec` declares, at 4 bytes per (float32) element: the same
+arrays a running stream allocates and `StreamState.nbytes()` measures.
+Conventions:
 
 * one multiply-accumulate = 2 FLOPs;
 * transcendentals (exp, sigmoid, ...) = 1 FLOP each, itemized so the
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 
 from .blocks import composes
 from .errors import check_positive
-from .model import DpsrParams
-from .stream import account_state_bytes
+from .model import DpsrParams, StreamState
 
 SILU_FLOPS = 5     # sigmoid (exp, add, div, ~1 aux) + multiply
 SIGMOID_FLOPS = 4
@@ -38,7 +40,11 @@ class CostReport:
     config: "DpsrConfig"
     width: int
     items: list
-    state: "StateAccounting"
+    state: list      # (label, bytes) per streaming-state array
+
+    @property
+    def state_bytes(self):
+        return sum(nbytes for _, nbytes in self.state)
 
     @property
     def param_count(self):
@@ -67,14 +73,15 @@ class CostReport:
         lines.append(f"FLOPs per input sample (/W/C): {self.flops_per_input_sample:,.0f}")
         lines.append("")
         lines.append("streaming state:")
-        lines.append(str(self.state))
+        lines += [f"  {label:<28} {nbytes:>12,} B" for label, nbytes in self.state]
+        lines.append(f"  {'total':<28} {self.state_bytes:>12,} B")
         return "\n".join(lines)
 
     def row(self):
         return (f"{self.config.features},{self.config.bands},{self.config.scale},"
                 f"{self.config.memory_kind},{self.param_count},"
                 f"{self.flops_per_input_pixel:.1f},{self.flops_per_input_sample:.1f},"
-                f"{self.state.total_bytes}")
+                f"{self.state_bytes}")
 
     @staticmethod
     def row_header():
@@ -169,5 +176,6 @@ def profile(config, width=32):
         items += _naf_items(config, naf, width, f"clff{i}.naf")
         items += _memory_items(config, mem, width, f"clff{i}.mem")
     items += _upsampler_items(config, sizes.upsampler, width)
-    return CostReport(config=config, width=width, items=items,
-                      state=account_state_bytes(config, width))
+    state = [(label, 4 * math.prod(shape))       # the stream state is float32
+             for label, shape in StreamState.spec(config, width)]
+    return CostReport(config=config, width=width, items=items, state=state)

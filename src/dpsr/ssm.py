@@ -2,12 +2,14 @@
 
 One block, one forward: `_forward` takes L >= 1 lines and the state left by
 the lines before them, and returns the L output lines plus the state after
-them. Its public entries are thin names for it: `*_scan` from the zero
-state (training's whole-image forward), `*_step` from a stream's state (a
-line or a chunk). Folding the step over a sequence and running the scan
-over it share every operation, which makes line-by-line inference exact
-rather than an approximation. In 32-bit the two may still differ by
-rounding, since the projections then run over L lines at once.
+them. Its public entries are thin names for it with one signature,
+`(z, params, state)`: `*_scan` for training's whole-image forward (from a
+fresh state), `*_step` for a stream (a line or a chunk). They differ only
+by name, so that a tracer can keep the two callers apart. Folding the step
+over a sequence and running the scan over it share every operation, which
+makes line-by-line inference exact rather than an approximation. In 32-bit
+the two may still differ by rounding, since the projections then run over
+L lines at once.
 
 The SSM recurrence itself is one op, `tensor.selective_scan`, for any L:
 it advances the latent with in-place array updates rather than a chain of
@@ -21,9 +23,11 @@ State per block: the last K-1 projected feature lines (K-1, W, EF), which
 is all the causal convolution reads besides the new line, and, for the
 selective block, the SSM latent (W, N, EF), laid out with the channels
 last so that its updates run along the long contiguous axis. Both are
-independent of how many lines were already processed. The ops that read
-them return their next value: `tensor.causal_depthwise_conv` returns
-(y, next tail) as `tensor.selective_scan` returns (y, next latent).
+independent of how many lines were already processed. `MemoryState.spec`
+declares them once, next to the parameters: `fresh` allocates from it, and
+the profiler reports the state's bytes from it. The ops that read them
+return their next value: `tensor.causal_depthwise_conv` returns (y, next
+tail) as `tensor.selective_scan` returns (y, next latent).
 """
 
 from dataclasses import dataclass
@@ -81,33 +85,27 @@ class MemoryParams(ParamSet):
     def selective(self):
         return self.dims[4]
 
-    @property
-    def kernel_lines(self):
-        return self.conv_w.shape[1]
-
-    @property
-    def inner(self):
-        return self.in_w.shape[0]
-
-    @property
-    def state_size(self):
-        return self.dims[2]
-
 
 @dataclass
 class MemoryState:
-    """Recurrent state of one memory block."""
+    """Recurrent state of one memory block, its arrays declared once by `spec`."""
 
     conv_tail: np.ndarray          # (K-1, W, EF) last value lines, oldest first
     h: np.ndarray | None = None    # (W, N, EF) SSM latent; selective blocks only
 
+    @staticmethod
+    def spec(features, expand, state, kernel_lines, selective, width):
+        """(field, label, shape) of each array: `MemoryParams.spec`'s dims plus the width."""
+        ef = features * expand
+        arrays = [("conv_tail", "conv_tail[(K-1)xWxEF]", (kernel_lines - 1, width, ef))]
+        if selective:
+            arrays.append(("h", "ssm_latent[WxNxEF]", (width, state, ef)))
+        return arrays
+
     @classmethod
     def fresh(cls, params, width, dtype=np.float32):
-        k, ef = params.kernel_lines, params.inner
-        h = None
-        if params.selective:
-            h = np.zeros((width, params.state_size, ef), dtype=dtype)
-        return cls(conv_tail=np.zeros((k - 1, width, ef), dtype=dtype), h=h)
+        return cls(**{field: np.zeros(shape, dtype=dtype)
+                      for field, _, shape in cls.spec(*params.dims, width)})
 
     @property
     def width(self):
@@ -142,8 +140,10 @@ def _forward(z, p, s):
     return out, MemoryState(conv_tail=tail, h=h)
 
 
-# One entry pair per memory kind, so that callers and tracers can tell the
-# kinds and the two workloads apart; the params decide whether the SSM runs.
+# One entry pair per memory kind and caller, so that tracers can tell the
+# kinds and the two workloads apart: the whole-image forward enters by
+# `*_scan`, a stream by `*_step`. All four run the one `_forward`, and the
+# params decide whether the SSM runs.
 
 def mamba_step(z, p, s):
     """(.., W, F) lines after state `s` through the selective block, plus the next state."""
@@ -155,11 +155,11 @@ def causalconv_step(z, p, s):
     return _forward(z, p, s)
 
 
-def mamba_scan(z, p):
-    """(.., W, F) lines from the zero state through the selective block, plus the next state."""
-    return _forward(z, p, MemoryState.fresh(p, z.shape[-2], z.dtype))
+def mamba_scan(z, p, s):
+    """`mamba_step` under the whole-image forward's name."""
+    return _forward(z, p, s)
 
 
-def causalconv_scan(z, p):
-    """(.., W, F) lines from the zero state through the ablation, plus the next state."""
-    return _forward(z, p, MemoryState.fresh(p, z.shape[-2], z.dtype))
+def causalconv_scan(z, p, s):
+    """`causalconv_step` under the whole-image forward's name."""
+    return _forward(z, p, s)

@@ -1,10 +1,12 @@
 """Pushbroom streaming harness: feed lines, time each step, audit state.
 
-Memory is audited by exact element accounting of the recurrent state, not
-by OS measurement; the constant-in-H property is about state size, and
-allocator overhead would only blur it. Latency is wall-clock per line and
-is reported, never asserted: whether a given machine beats the acquisition
-budget is a property of the machine.
+Memory is audited as the bytes of the recurrent state's arrays after each
+line (`StreamState.nbytes()`), not by OS measurement; the constant-in-H
+property is about state size, and allocator overhead would only blur it.
+Those arrays are the ones `StreamState.spec` declares, which is also what
+`dpsr profile` prints for a width without running anything. Latency is
+wall-clock per line and is reported, never asserted: whether a given
+machine beats the acquisition budget is a property of the machine.
 """
 
 import time
@@ -17,37 +19,6 @@ from .errors import ContractError, check_positive
 from .model import dpsr_step, init_stream
 
 PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
-STATE_SCALAR_BYTES = 4         # the stream state is float32
-
-
-@dataclass
-class StateAccounting:
-    items: list                # (label, bytes)
-    total_bytes: int
-
-    def __str__(self):
-        lines = [f"  {label:<28} {nbytes:>12,} B" for label, nbytes in self.items]
-        lines.append(f"  {'total':<28} {self.total_bytes:>12,} B")
-        return "\n".join(lines)
-
-
-def account_state_bytes(config, width):
-    """Exact streaming-state footprint for a given line width.
-
-    Per memory block: the (K-1)*W*EF conv tail (the causal conv's history
-    before the next line), plus the W*N*EF SSM latent when the block is
-    selective. Plus the one retained previous input line.
-    """
-    w, ef = int(width), config.inner
-    items = []
-    for i in range(config.n_clff):
-        conv = (config.kernel_lines - 1) * w * ef * STATE_SCALAR_BYTES
-        items.append((f"clff{i}.conv_tail[(K-1)xWxEF]", conv))
-        if config.selective:
-            latent = w * ef * config.state_size * STATE_SCALAR_BYTES
-            items.append((f"clff{i}.ssm_latent[WxNxEF]", latent))
-    items.append(("prev_line[WxC]", w * config.bands * STATE_SCALAR_BYTES))
-    return StateAccounting(items=items, total_bytes=sum(b for _, b in items))
 
 
 @dataclass

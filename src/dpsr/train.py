@@ -198,7 +198,8 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     Training uses the whole-image forward, which is the same `model._forward`
     that streaming runs, from a fresh state; the loss compares its
     ((Hp-1)*r)-line output against the matching slice of the HR patch,
-    which is exactly the discard rule.
+    which is exactly the discard rule. With `val_cubes`, validation runs
+    every `eval_every` steps and at the last step.
     """
     tc = train_config
     scale = model_config.scale
@@ -237,7 +238,7 @@ def fit(train_cubes, val_cubes, model_config, train_config):
 
         row = LogRow(step=step, loss=loss_val, l1=parts[0], sam=parts[1],
                      grad=parts[2])
-        if val_cubes and step % tc.eval_every == 0:
+        if val_cubes and (step % tc.eval_every == 0 or step == tc.max_steps):
             score = _val_mpsnr(params, val_cubes, scale)
             row.val_mpsnr = score
             if score > best_score:

@@ -216,7 +216,8 @@ def test_pipeline_end_to_end(synth, capsys):
     model = str(synth / "out" / "m.dpsrw")
     assert manifest(synth / "out" / "train.manifest.json") == {
         "command": "train", "config_file": str(synth / "model.cfg"), "seed": 7,
-        "inputs": [str(synth / "data")] * 2, "outputs": [model, model + ".log.csv"],
+        "inputs": [str(synth / "data")] * 2 + [str(synth / "train.cfg")],
+        "outputs": [model, model + ".log.csv"],
         "resolved_config": {
             "bands": 4, "features": 8, "expand": 1, "state_size": 4, "kernel_lines": 4,
             "up_features": 4, "scale": 4, "n_clff": 2, "memory_kind": "mamba",

@@ -199,6 +199,29 @@ def test_non_finite_input_line_is_rejected_before_any_block(value):
     assert np.array_equal(np.concatenate(resumed, axis=0), clean[2 * 4:])
 
 
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_a_malformed_line_mid_stream_is_rejected_and_the_stream_goes_on(kind):
+    params = DpsrParams.init(small_config(kind), seed=0)
+    cube = np.random.default_rng(7).random((6, 5, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[0], params, None)
+    out = []
+    for line in cube[1:3]:
+        sr, state = dpsr_step(line, params, state)
+        out.append(sr)
+    before = state_arrays(state)
+    with pytest.raises(ContractError, match=r"line width 6 vs stream width 5"):
+        dpsr_step(np.zeros((6, 4), np.float32), params, state)
+    with pytest.raises(ContractError, match=r"expected a \(W, 4\) line .* got \(5, 3\)"):
+        dpsr_step(cube[3, :, :3], params, state)
+    assert unchanged(before, state)
+
+    # the stream goes on from the state it had, as if it never saw the bad lines
+    for line in cube[3:]:
+        sr, state = dpsr_step(line, params, state)
+        out.append(sr)
+    assert np.array_equal(np.concatenate(out, axis=0), fold_steps(cube, params)[0])
+
+
 def test_upsampler_runs_only_on_lines_whose_output_is_kept(monkeypatch):
     import dpsr.model
     seen = []

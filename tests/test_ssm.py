@@ -21,7 +21,8 @@ def test_step_fold_equals_scan_float64():
     for line in z:
         out, state = ssm.mamba_step(line, params, state)
         folded.append(out.data)
-    scanned = ssm.mamba_scan(z, params)[0].data
+    fresh = ssm.MemoryState.fresh(params, WIDTH, np.float64)
+    scanned = ssm.mamba_scan(z, params, fresh)[0].data
     assert np.max(np.abs(np.stack(folded) - scanned)) <= 1e-12
 
 
@@ -32,6 +33,6 @@ def test_scan_tape_size_does_not_grow_with_lines():
     for lines in (8, 32):
         z = Tensor(rng.standard_normal((lines, WIDTH, FEATURES)), requires_grad=True)
         with Tape() as tape:
-            ssm.mamba_scan(z, params)
+            ssm.mamba_scan(z, params, ssm.MemoryState.fresh(params, WIDTH, np.float32))
         counts.append(len(tape.nodes))
     assert counts[0] == counts[1]

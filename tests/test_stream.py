@@ -9,16 +9,19 @@ from dpsr import stream
 from dpsr.dataio import HsiCube
 from dpsr.errors import ContractError
 from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step
-from dpsr.stream import StreamReport, account_state_bytes, run_stream
+from dpsr.profiler import profile
+from dpsr.stream import StreamReport, run_stream
 
 
+# kernel_lines 1 has an empty conv tail: a 0 B row in the accounting
+@pytest.mark.parametrize("kernel_lines", [3, 1])
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
-def test_state_accounting_matches_real_state_and_is_constant(kind):
+def test_state_accounting_matches_real_state_and_is_constant(kind, kernel_lines):
     cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4,
-                     kernel_lines=3, memory_kind=kind)
+                     kernel_lines=kernel_lines, memory_kind=kind)
     params = DpsrParams.init(cfg, seed=0)
     width = 6
-    expected = account_state_bytes(cfg, width).total_bytes
+    expected = profile(cfg, width).state_bytes
     cube = np.random.default_rng(0).random((20, width, 4)).astype(np.float32)
     state, sizes = None, {}
     for y, line in enumerate(cube, start=1):
@@ -95,4 +98,4 @@ def test_stream_report_csv_has_one_row_per_line_and_constant_state(timed_stream,
     cells = [row.split(",") for row in rows]
     assert [int(c[0]) for c in cells] == list(range(len(LINE_MS)))
     assert [float(c[1]) for c in cells] == pytest.approx(LINE_MS)
-    assert {int(c[2]) for c in cells} == {account_state_bytes(cfg, 5).total_bytes}
+    assert {int(c[2]) for c in cells} == {profile(cfg, 5).state_bytes}

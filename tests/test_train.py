@@ -111,6 +111,14 @@ def test_fit_is_deterministic_per_seed(tmp_path):
     assert len(logs[0].splitlines()) == 1 + 3
 
 
+def test_fit_validates_at_the_last_step_before_eval_every():
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=1, max_steps=2, patch=16, eval_every=25, seed=3)
+    _, log = train.fit([make_synthetic(1, 32, 32, 4)], [make_synthetic(2, 32, 32, 4)], cfg, tc)
+    assert len(log) == 2 and log[0].val_mpsnr is None
+    assert np.isfinite(log[-1].val_mpsnr)
+
+
 @pytest.mark.parametrize("name", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
 def test_train_config_sizes_must_be_integers(name):
     with pytest.raises(ContractError, match=f"{name} must be an integer, got 1.5"):
