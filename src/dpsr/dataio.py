@@ -203,19 +203,29 @@ def make_synthetic(seed, height, width, bands, smoothness=3.0):
 # patches and augmentation
 
 
+def dihedral_views(arr):
+    """The 8 dihedral images of an (H, W, C) array as read-only views.
+
+    Order: flip outer (none, then axis 1), rot90 k = 0..3 in the (0, 1)
+    plane inner. No data is copied; the input's last axis is untouched.
+    """
+    out = []
+    for base in (arr, np.flip(arr, axis=1)):
+        for k in range(4):
+            view = np.rot90(base, k, axes=(0, 1))
+            view.flags.writeable = False
+            out.append(view)
+    return out
+
+
 def augment8(cube):
-    """4 spatial rotations x 2 horizontal flips; spectra untouched."""
+    """4 spatial rotations x 2 horizontal flips as contiguous copies, in
+    `dihedral_views` order; spectra untouched."""
     if cube.height != cube.width:
         raise ContractError(
             f"augment8 needs a square patch, got {cube.height}x{cube.width}")
-    out = []
-    for flip in (False, True):
-        base = np.flip(cube.data, axis=1) if flip else cube.data
-        for k in range(4):
-            arr = np.rot90(base, k, axes=(0, 1))
-            out.append(HsiCube(data=np.ascontiguousarray(arr),
-                               band_valid=cube.band_valid.copy()))
-    return out
+    return [HsiCube(data=view.copy(), band_valid=cube.band_valid.copy())
+            for view in dihedral_views(cube.data)]
 
 
 def extract_patches(cube, size):

@@ -97,7 +97,8 @@ class Tape:
         Parameters not reachable from the loss get zeros.
         """
         grads = backward(self, loss)
-        return [grads.get(p.tid, np.zeros_like(p.data)) for p in params]
+        return [grads[p.tid] if p.tid in grads else np.zeros_like(p.data)
+                for p in params]
 
 
 def record(out, inputs, fn):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dataio import HsiCube, augment8, bicubic_downsample, extract_patches
+from .dataio import HsiCube, bicubic_downsample, dihedral_views, extract_patches
 from .errors import ContractError, NumericError, positive_int
 from .metrics import evaluate
 from .model import DpsrParams, dpsr_forward_image
@@ -166,7 +166,13 @@ class LogRow:
 
 
 def _prepare_pairs(cubes, scale, patch):
-    """HR cubes -> list of (lr, hr) arrays, 8x augmented patches."""
+    """HR cubes -> list of (lr, hr) arrays over the 8 dihedral images of
+    every patch.
+
+    Each hr is a read-only view of the one copy of its patch that
+    `extract_patches` made, so the 8 targets of a patch share its memory.
+    Each lr is decimated from its image as a transient contiguous cube.
+    """
     pairs = []
     for cube in cubes:
         if patch > cube.height or patch > cube.width:
@@ -175,17 +181,17 @@ def _prepare_pairs(cubes, scale, patch):
         if patch % scale:
             raise ContractError(f"patch {patch} not divisible by scale {scale}")
         for base in extract_patches(cube, patch):
-            for aug in augment8(base):
-                lr = bicubic_downsample(aug, scale)
-                pairs.append((lr.data, aug.data))
+            for hr in dihedral_views(base.data):
+                lr = bicubic_downsample(HsiCube(data=hr, band_valid=base.band_valid), scale)
+                pairs.append((lr.data, hr))
     return pairs
 
 
-def _val_mpsnr(params, val_cubes, scale):
+def _val_mpsnr(params, val_cubes, val_lr, scale):
+    """Mean MPSNR over `val_cubes`, predicted from their decimations `val_lr`."""
     scores = []
-    for cube in val_cubes:
-        lr = bicubic_downsample(cube, scale)
-        pred = dpsr_forward_image(lr.data, params)
+    for cube, lr in zip(val_cubes, val_lr):
+        pred = dpsr_forward_image(lr, params)
         pred_cube = HsiCube(data=np.clip(pred.data, 0.0, 1.0),
                             band_valid=cube.band_valid)
         scores.append(evaluate(pred_cube, cube, scale).mpsnr_db)
@@ -199,13 +205,18 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     that streaming runs, from a fresh state; the loss compares its
     ((Hp-1)*r)-line output against the matching slice of the HR patch,
     which is exactly the discard rule. With `val_cubes`, validation runs
-    every `eval_every` steps and at the last step.
+    every `eval_every` steps and at the last step, on LR cubes decimated
+    once per fit.
+
+    The HR targets are read-only views, 8 per patch, of one copy of each
+    patch; a step copies the lines its loss uses to a contiguous array.
     """
     tc = train_config
     scale = model_config.scale
     pairs = _prepare_pairs(train_cubes, scale, tc.patch)
     if not pairs:
         raise ContractError("no training patches")
+    val_lr = [bicubic_downsample(cube, scale).data for cube in val_cubes]
 
     params = DpsrParams.init(model_config, seed=tc.seed)
     named = params.named_tensors()
@@ -224,7 +235,8 @@ def fit(train_cubes, val_cubes, model_config, train_config):
             for idx in picks:
                 lr_arr, hr_arr = pairs[idx]
                 pred = dpsr_forward_image(lr_arr, params)
-                tgt = hr_arr[:pred.shape[0]]
+                # a rotated view as the target costs the loss more than this copy
+                tgt = np.ascontiguousarray(hr_arr[:pred.shape[0]])
                 item, l1, sam, grad = loss_terms(pred, tgt, tc.alpha_s, tc.alpha_g)
                 total = item if total is None else T.add(total, item)
                 parts += [l1.item(), sam.item(), grad.item()]
@@ -239,7 +251,7 @@ def fit(train_cubes, val_cubes, model_config, train_config):
         row = LogRow(step=step, loss=loss_val, l1=parts[0], sam=parts[1],
                      grad=parts[2])
         if val_cubes and (step % tc.eval_every == 0 or step == tc.max_steps):
-            score = _val_mpsnr(params, val_cubes, scale)
+            score = _val_mpsnr(params, val_cubes, val_lr, scale)
             row.val_mpsnr = score
             if score > best_score:
                 best, best_score = copy.deepcopy(params), score

@@ -1,12 +1,13 @@
-"""The frozen HSC1 cube container and the bicubic decimation."""
+"""The frozen HSC1 cube container, the bicubic decimation, patches and augmentation."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from dpsr.dataio import (HsiCube, bicubic_downsample, catmull_rom, read_cube,
-                         resample_matrix, write_cube)
+from dpsr.dataio import (HsiCube, augment8, bicubic_downsample, catmull_rom,
+                         dihedral_views, extract_patches, read_cube, resample_matrix,
+                         write_cube)
 from dpsr.errors import ContractError, FormatError, positive_int
 
 
@@ -144,3 +145,61 @@ def test_fractional_factor_is_rejected(factor):
 def test_integral_factor_passes_as_int():
     assert positive_int("factor", 2.0) == 2 and type(positive_int("factor", np.int64(3))) is int
     assert bicubic_downsample(cube((4, 6, 2)), 2.0).data.shape == (2, 3, 2)
+
+
+# the frozen augmentation order: flip outer (none, then axis 1), rot90 k = 0..3 inner
+DIHEDRAL = [(flip, k) for flip in (False, True) for k in range(4)]
+
+
+def dihedral_oracle(a, flip, k):
+    return np.rot90(np.flip(a, axis=1) if flip else a, k, axes=(0, 1))
+
+
+def test_dihedral_views_are_the_eight_images_in_the_frozen_order():
+    a = cube((5, 5, 3), seed=4).data
+    views = dihedral_views(a)
+    assert len(views) == 8
+    for view, (flip, k) in zip(views, DIHEDRAL):
+        assert np.array_equal(view, dihedral_oracle(a, flip, k))
+    # a generic patch has no symmetry, so its 8 images are distinct
+    flat = {v.tobytes() for v in views}
+    assert len(flat) == 8
+
+
+def test_dihedral_views_are_read_only_views_and_leave_the_input_writable():
+    a = cube((4, 4, 2), seed=5).data
+    for view in dihedral_views(a):
+        assert view.base is not None and np.shares_memory(view, a)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1.0
+    assert a.flags.writeable
+
+
+def test_augment8_is_contiguous_writable_copies_in_the_frozen_order():
+    src = cube((6, 6, 3), seed=6, band_valid=[True, False, True])
+    out = augment8(src)
+    assert len(out) == 8
+    for aug, (flip, k) in zip(out, DIHEDRAL):
+        assert np.array_equal(aug.data, dihedral_oracle(src.data, flip, k))
+        assert aug.data.flags.c_contiguous and aug.data.flags.writeable
+        assert not np.shares_memory(aug.data, src.data)
+        assert np.array_equal(aug.band_valid, src.band_valid)
+        assert not np.shares_memory(aug.band_valid, src.band_valid)
+
+
+def test_augment8_rejects_a_non_square_patch():
+    with pytest.raises(ContractError, match="square patch, got 4x6"):
+        augment8(cube((4, 6, 2)))
+
+
+def test_extract_patches_tiles_row_major_and_drops_the_remainder():
+    src = cube((7, 10, 2), seed=7, band_valid=[False, True])
+    patches = extract_patches(src, 3)
+    # 2 rows x 3 columns of 3x3 tiles; the last line and column are dropped
+    corners = [(y, x) for y in (0, 3) for x in (0, 3, 6)]
+    assert len(patches) == len(corners)
+    for p, (y, x) in zip(patches, corners):
+        assert np.array_equal(p.data, src.data[y:y + 3, x:x + 3])
+        assert not np.shares_memory(p.data, src.data)
+        assert np.array_equal(p.band_valid, src.band_valid)

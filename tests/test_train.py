@@ -1,11 +1,12 @@
-"""The training loss: value, gradient and its masks; the whole model's gradient."""
+"""The training loss: value, gradient and its masks; the whole model's gradient;
+the training pairs and fit's contract errors."""
 
 import numpy as np
 import pytest
 
 from dpsr import train
 from dpsr.blocks import composes
-from dpsr.dataio import make_synthetic
+from dpsr.dataio import augment8, bicubic_downsample, extract_patches, make_synthetic
 from dpsr.errors import ContractError
 from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
@@ -125,3 +126,37 @@ def test_train_config_sizes_must_be_integers(name):
         train.TrainConfig(**{name: 1.5})
     value = getattr(train.TrainConfig(**{name: 16.0}), name)
     assert value == 16 and type(value) is int
+
+
+def test_prepare_pairs_equals_augmented_copies_and_shares_each_patch():
+    cube = make_synthetic(5, 24, 16, 3)
+    cube.band_valid[1] = False
+    pairs = train._prepare_pairs([cube], 2, 8)
+    # the 8-fold augmented copies, each decimated, as training made them before
+    want = [(bicubic_downsample(aug, 2).data, aug.data)
+            for base in extract_patches(cube, 8) for aug in augment8(base)]
+    assert len(pairs) == len(want) == 6 * 8
+    for (lr, hr), (want_lr, want_hr) in zip(pairs, want):
+        assert lr.dtype == hr.dtype == np.float32
+        assert lr.tobytes() == want_lr.tobytes() and lr.shape == want_lr.shape
+        assert hr.tobytes() == want_hr.tobytes() and hr.shape == want_hr.shape
+        assert not hr.flags.writeable
+    # one copy per patch: its 8 targets are views of the first, which holds
+    # the patch itself, and no two patches share memory
+    for i, patch in enumerate(extract_patches(cube, 8)):
+        group = [hr for _, hr in pairs[8 * i:8 * i + 8]]
+        assert np.array_equal(group[0], patch.data)
+        assert all(np.shares_memory(hr, group[0]) for hr in group)
+        assert not np.shares_memory(group[0], pairs[(8 * i + 8) % len(pairs)][1])
+
+
+@pytest.mark.parametrize("train_cubes,patch,match", [
+    ([make_synthetic(1, 32, 16, 4)], 24, "patch 24 larger than cube 32x16"),
+    ([make_synthetic(1, 32, 32, 4)], 18, "patch 18 not divisible by scale 4"),
+    ([], 16, "no training patches"),
+], ids=["patch-larger-than-cube", "patch-not-divisible", "no-patches"])
+def test_fit_rejects_unusable_training_data(train_cubes, patch, match):
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=1, max_steps=1, patch=patch, seed=0)
+    with pytest.raises(ContractError, match=match):
+        train.fit(train_cubes, [], cfg, tc)
