@@ -270,15 +270,18 @@ def upsample_composed(x, p):
     for t, b, bs, m in _RESTORE_TAPS:
         wc[:, b, ..., m] += z[t, :, bs]
         bc[:, b] += zb[t, :, bs]
+    T.count("composite_weight", 2 * zx.size * f + z.size + zb.size)   # paid once per call
     wc = wc.reshape(r * r * c, fin, 5)
     borders = [(j, b, t, bs, s, z[t, :, bs, ..., s].reshape(r * c, fin))
                for j, b, t, bs, s in _BORDERS]
 
     y, conv_back = T.conv1d_gemm(x3, wc)
     y += bc.reshape(-1)
+    T.count("bias", y.size)
     y = y.reshape(n, w, r, r, c)
     for j, b, t, bs, _, ew in borders:
         y[:, j, :, b] -= (x3[:, j] @ ew.T).reshape(n, r, c) + zb[t, :, bs]
+    T.count("border_terms", len(borders) * n * r * c * (2 * fin + 2))
     out = Tensor(y.transpose(0, 2, 1, 3, 4).reshape(xd.shape[:-2] + (r, r * w, c)))
 
     def fn(g):

@@ -77,11 +77,14 @@ def read_cube(path):
         if 0 in (h, w, c):
             raise FormatError(f"empty cube extents {h}x{w}x{c}")
         flags, = struct.unpack("<B", read_exact(fh, 1, "flags"))
-        check_size(fh, (c if flags & _FLAG_MASK else 0) + 4 * h * w * c, "cube header")
+        if flags & ~_FLAG_MASK:
+            raise FormatError(f"unknown cube flags 0x{flags:02x}")
+        check_size(fh, (c if flags else 0) + 4 * h * w * c, "cube header")
         band_valid = np.ones(c, dtype=bool)
-        if flags & _FLAG_MASK:
-            band_valid = np.frombuffer(read_exact(fh, c, "band mask"),
-                                       dtype=np.uint8).astype(bool)
+        if flags:   # HsiCube reads the 0/1 bytes as bools
+            band_valid = np.frombuffer(read_exact(fh, c, "band mask"), dtype=np.uint8)
+            if (band_valid > 1).any():
+                raise FormatError("band mask bytes must be 0 or 1")
         payload = read_exact(fh, 4 * h * w * c, "payload")
         if fh.read(1):
             raise FormatError("trailing bytes after the payload")

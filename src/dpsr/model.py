@@ -77,7 +77,8 @@ class DpsrParams:
     @classmethod
     def build(cls, config, make):
         """Each block as `make(block class, *its dims)`, the one place that knows
-        every block's dims: tensors for `init` / `zeros`, sizes for the profiler."""
+        every block's dims: tensors for `init` / `zeros`, the dims
+        `StreamState.spec` sizes the state by, record sizes for `load_params`."""
         c = config
         return cls(
             config=c,

@@ -25,9 +25,10 @@ selective block, the SSM latent (W, N, EF), laid out with the channels
 last so that its updates run along the long contiguous axis. Both are
 independent of how many lines were already processed. `MemoryState.spec`
 declares them once, next to the parameters: `fresh` allocates from it, and
-the profiler reports the state's bytes from it. The ops that read them
-return their next value: `tensor.causal_depthwise_conv` returns (y, next
-tail) as `tensor.selective_scan` returns (y, next latent).
+`StreamState.spec` gathers it for the state rows `dpsr profile` prints.
+The ops that read the state return its next value:
+`tensor.causal_depthwise_conv` returns (y, next tail) as
+`tensor.selective_scan` returns (y, next latent).
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ Memory is audited as the bytes of the recurrent state's arrays after each
 line (`StreamState.nbytes()`), not by OS measurement; the constant-in-H
 property is about state size, and allocator overhead would only blur it.
 Those arrays are the ones `StreamState.spec` declares, which is also what
-`dpsr profile` prints for a width without running anything. Latency is
+`dpsr profile` prints for a width, without allocating them. Latency is
 wall-clock per line and is reported, never asserted: whether a given
 machine beats the acquisition budget is a property of the machine.
 """

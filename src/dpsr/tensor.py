@@ -8,8 +8,10 @@ order, which is already a topological order, so the backward pass is a
 single reversed sweep.
 
 All ops are pure and deterministic; nothing here mutates its inputs.
+Inside a `counting()` context they also tally the FLOPs they ran.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -18,10 +20,36 @@ from .errors import ContractError, ShapeError
 
 _ids = itertools.count()
 _tape_stack = []
+_count_stack = []
 
 
 def _active_tape():
     return _tape_stack[-1] if _tape_stack else None
+
+
+@contextlib.contextmanager
+def counting():
+    """Tally the FLOPs of the ops run inside, as {op name: FLOPs}.
+
+    Each op passes the FLOPs of the shapes it ran to `count`, which adds
+    them to the innermost open tally. The conventions live in the ops: a
+    multiply-add is 2 FLOPs, and every other arithmetic step or
+    transcendental is 1 FLOP per element, so sigmoid is 4 (negate, exp,
+    add, divide), silu 5, softplus 6 and layer norm 8 per element.
+    """
+    tally = {}
+    _count_stack.append(tally)
+    try:
+        yield tally
+    finally:
+        _count_stack.pop()
+
+
+def count(op, flops):
+    """Add `flops` under `op` to the innermost open `counting()` tally, if any."""
+    if _count_stack:
+        tally = _count_stack[-1]
+        tally[op] = tally.get(op, 0) + flops
 
 
 class Tensor:
@@ -158,6 +186,7 @@ def add(a, b):
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
+    count("add", out.size)
     sa, sb = a.shape, b.shape
     return record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
@@ -166,6 +195,7 @@ def mul(a, b):
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
+    count("mul", out.size)
     da, db = a.data, b.data
 
     def fn(g):
@@ -180,6 +210,7 @@ def mul(a, b):
 
 def sigmoid(a):
     s = 1.0 / (1.0 + np.exp(-a.data))
+    count("sigmoid", 4 * s.size)
     out = Tensor(s)
     return record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
@@ -187,6 +218,7 @@ def sigmoid(a):
 def silu(a):
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(a.data * s)
+    count("silu", 5 * s.size)
     da = a.data
     return record(out, (a,), lambda g: (g * (s + da * s * (1.0 - s)),))
 
@@ -197,6 +229,7 @@ def softplus(a):
     e = np.exp(-np.abs(x))
     y = np.log1p(e)
     y += np.maximum(x, 0)
+    count("softplus", 6 * y.size)
     out = Tensor(y)
 
     def fn(g):
@@ -208,6 +241,7 @@ def softplus(a):
 
 def relu(a):
     out = Tensor(np.maximum(a.data, 0))
+    count("relu", out.size)
     mask = a.data > 0
     return record(out, (a,), lambda g: (g * mask,))
 
@@ -218,6 +252,7 @@ def relu(a):
 
 def reduce_sum(a, axis=None, keepdims=False):
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims, dtype=a.dtype))
+    count("reduce_sum", a.size)
     shape = a.shape
 
     def fn(g):
@@ -236,6 +271,7 @@ def reduce_max(a, axis, keepdims=False):
     ad = a.data
     m = ad.max(axis=axis, keepdims=True)
     out = Tensor(m if keepdims else np.squeeze(m, axis=axis))
+    count("reduce_max", ad.size)
 
     def fn(g):
         # ties: route the whole gradient to the first maximum along the axis
@@ -297,6 +333,7 @@ def _with_bias(y, x, weight, bias, back):
     if bias is None:
         return record(Tensor(y), (x, weight), back)
     y += bias.data
+    count("bias", y.size)
     return record(Tensor(y), (x, weight, bias),
                   lambda g: back(g) + (g.reshape(-1, g.shape[-1]).sum(axis=0),))
 
@@ -312,7 +349,9 @@ def linear(x, weight, bias=None):
         gw = g.reshape(-1, g.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
         return (g @ wd).reshape(xd.shape), gw
 
-    return _with_bias(xd @ wd.T, x, weight, bias, back)
+    y = xd @ wd.T
+    count("linear", 2 * y.size * wd.shape[1])
+    return _with_bias(y, x, weight, bias, back)
 
 
 def _taps(k, width):
@@ -367,6 +406,7 @@ def conv1d_gemm(x, w):
     cout, cin, k = w.shape
     wm = w.reshape(cout, cin * k)
     cols = _columns(x, k).reshape(-1, cin * k)
+    count("conv1d", 2 * len(cols) * w.size)     # padding taps included: the GEMM runs them
 
     def back(g):
         g2 = g.reshape(-1, cout)
@@ -412,6 +452,7 @@ def _tap_sum(x, w, taps, axis, length):
     wt = np.ascontiguousarray(w.T)
     for j, dst, src in taps:
         y[dst] += np.multiply(x[src], wt[j], out=tmp[dst])
+    count("depthwise_conv", 2 * sum(tmp[dst].size for _, dst, _ in taps))   # padding skipped
 
     def back(g):
         gx = np.zeros(x.shape, dtype=g.dtype)
@@ -510,6 +551,9 @@ def selective_scan(dt, u, b, c, a_log, h0):
     dtd, ud, bd, cd, h0d = dt.data, u.data, b.data, c.data, h0.data
     at = np.ascontiguousarray(-np.exp(a_log.data.T))    # A as (N, E)
     du = dtd * ud
+    # 7 per latent element and line (dt*A, exp, decay, b*du, add, the readout's
+    # multiply-add), 1 per du element, and A = -exp(a_log) once per call
+    count("selective_scan", lines * width * e * (7 * n + 1) + 2 * e * n)
     rows = max(1, _SCAN_SLAB_BYTES // (n * e * np.dtype(dtype).itemsize))
     slabs = [slice(lo, lo + rows) for lo in range(0, width, rows)]
     buf = np.empty((min(rows, width), n, e), dtype=dtype)
@@ -577,6 +621,7 @@ def layer_norm(x, gamma, beta):
     xhat *= inv
     np.multiply(xhat, gd, out=y)
     y += beta.data
+    count("layer_norm", 8 * y.size)
     out = Tensor(y)
 
     def fn(g):

@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .dataio import HsiCube, bicubic_downsample, dihedral_views, extract_patches
 from .errors import ContractError, NumericError, positive_int
-from .metrics import evaluate
+from .metrics import SSIM_WINDOW, evaluate
 from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
 
@@ -206,13 +206,21 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     ((Hp-1)*r)-line output against the matching slice of the HR patch,
     which is exactly the discard rule. With `val_cubes`, validation runs
     every `eval_every` steps and at the last step, on LR cubes decimated
-    once per fit.
+    once per fit. Cubes of another band count than the model's, and val cubes
+    too small for SSIM once `evaluate` discards lines, fail before step 1.
 
     The HR targets are read-only views, 8 per patch, of one copy of each
     patch; a step copies the lines its loss uses to a contiguous array.
     """
     tc = train_config
     scale = model_config.scale
+    for cube in [*train_cubes, *val_cubes]:
+        if cube.bands != model_config.bands:
+            raise ContractError(f"cube has {cube.bands} bands, the model {model_config.bands}")
+    for cube in val_cubes:
+        if min(cube.height - scale, cube.width) < SSIM_WINDOW:
+            raise ContractError(f"val cube {cube.height}x{cube.width} less its last {scale} "
+                                f"lines is smaller than the {SSIM_WINDOW}-px SSIM window")
     pairs = _prepare_pairs(train_cubes, scale, tc.patch)
     if not pairs:
         raise ContractError("no training patches")

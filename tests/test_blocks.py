@@ -268,17 +268,23 @@ def test_upsampler_form_follows_the_channel_rule():
 
 
 def test_profiler_counts_the_form_that_runs():
-    full = profile(DpsrConfig(bands=66), 32)
-    assert full.flops_per_line == 177_499_322
-    assert [i.name for i in full.items if i.name.startswith("up.")] == ["up.expand",
-                                                                         "up.restore"]
-    train = profile(DpsrConfig(bands=16, features=32), 32)
-    up = [i for i in train.items if i.name.startswith("up.")]
-    # 5-tap conv 32 -> 256 over 32 columns, plus two 64-output border terms
-    assert [(i.name, i.flops) for i in up] == [("up.composed", 32 * 256 * (2 * 160 + 1)
-                                                + 2 * 64 * (2 * 32 + 1))]
-    assert up[0].params == 1024 * 32 * 3 + 1024 + 16 * 64 * 3 + 16
-    assert train.flops_per_line == 4_640_676
+    # hand counts of one streamed line's upsampler, both forms, two widths
+    def separate(w, fin, f, r, c):
+        return {"up.conv1d": 2 * w * r * r * f * 3 * fin + 2 * r * r * w * c * 3 * f,
+                "up.bias": w * r * r * f + r * r * w * c}
+
+    def composed(w, fin, f, r, c):
+        z = 3 * r * r * c * (3 * fin + 1)       # Z_t entries: 3F expand taps and a bias each
+        return {"up.composite_weight": 2 * f * z + z,
+                "up.conv1d": 2 * w * r * r * c * 5 * fin,
+                "up.bias": w * r * r * c,
+                "up.border_terms": 2 * r * c * (2 * fin + 2)}
+
+    for cfg, hand in [(DpsrConfig(bands=66), separate),
+                      (DpsrConfig(bands=16, features=32), composed)]:
+        for w in (1, 32):
+            up = {i.name: i.flops for i in profile(cfg, w).items if i.name.startswith("up.")}
+            assert up == hand(w, cfg.features, cfg.up_features, cfg.scale, cfg.bands)
 
 
 # ---------------------------------------------------------------------------

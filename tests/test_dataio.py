@@ -43,8 +43,10 @@ def test_cube_round_trip_is_bit_exact(tmp_path, band_valid):
     lambda b: b[:6] + struct.pack("<3I", 0xFFFFFFFF, 0xFFFFFFFF, 3) + b[18:],  # huge extents
     lambda b: b[:6] + struct.pack("<3I", 5, 7, 0xFFFFFFFF) + b[18:],  # huge band mask
     lambda b: b[:6] + struct.pack("<3IB", 0, 7, 0xFFFFFFFF, 0),         # no lines, huge bands
+    lambda b: b[:18] + b"\x07" + b[19:],            # flag bits besides the mask's
+    lambda b: b[:19] + b"\x02" + b[20:],            # band-mask byte neither 0 nor 1
 ], ids=["magic", "version", "truncated", "truncated-header", "trailing", "huge-extents",
-        "huge-bands", "empty-huge-bands"])
+        "huge-bands", "empty-huge-bands", "unknown-flags", "mask-byte"])
 def test_corrupt_cube_raises_format_error(tmp_path, corrupt):
     path = tmp_path / "c.hsc"
     write_cube(cube(band_valid=[True, False, True]), path)

@@ -1,9 +1,10 @@
-"""The profiler's symbolic counts against the model's parameter declarations."""
+"""The profiler's counted FLOPs, parameter and state accounting."""
 
 import hashlib
 
 import pytest
 
+from dpsr.errors import ContractError
 from dpsr.model import DpsrConfig, DpsrParams
 from dpsr.profiler import profile
 
@@ -14,26 +15,26 @@ CONFIGS = {
     "expand2": DpsrConfig(bands=16, features=32, up_features=16, expand=2),
 }
 
-# `row()` and the sha256 of `table()` per (config, width): every item's name,
-# parameter count and FLOPs, the totals and the state accounting. Any change
+# `row()` and the sha256 of `table()` per (config, width): every op's FLOPs,
+# the totals, the per-block parameter counts and the state accounting. Any change
 # to what `dpsr profile` prints shows up here.
 GOLDEN_TABLES = {
-    ("mamba", 1): ("280,66,4,mamba,2707939,5890018.0,89242.7,42824",
-                   "c73b783276df6032216d5642790e64bb86876c0ba29c3f9cfa58b636b995aef0"),
-    ("mamba", 250): ("280,66,4,mamba,2707939,5537200.9,83897.0,10706000",
-                     "7900e6fff894d469956c48b1baac8c215bb3eb651e50fc01dde9a56e2e3ca4c4"),
-    ("causalconv", 1): ("280,66,4,causalconv,2523139,5456578.0,82675.4,6984",
-                        "4df618442717c8826ee08cc389158864201ac58db1c0b31812b0945bd1871eb5"),
-    ("causalconv", 250): ("280,66,4,causalconv,2523139,5103760.9,77329.7,1746000",
-                          "4cb55a474c1fe053f7053361d20cabc070a7501aa1f43f543075902724be040d"),
-    ("composed", 1): ("32,16,4,mamba,131666,157828.0,9864.2,4928",
-                      "ccb7dd12ae863adda80067b73761cc243b1ae19de4907ad9f41973c2abe6e94d"),
-    ("composed", 250): ("32,16,4,mamba,131666,144660.9,9041.3,1232000",
-                        "1316e59ea1a21bd1ca2b988d47b6df00aaeb109d7e0e5d585a41780850000280"),
-    ("expand2", 1): ("32,16,4,mamba,70802,181252.0,11328.2,9792",
-                     "487708311d37ef20b1201e8ffcfd96f04bc39d5cfba0e9920fba77f5b82aa222"),
-    ("expand2", 250): ("32,16,4,mamba,70802,176371.6,11023.2,2448000",
-                       "90aff57dd15313940c87626ce746215cb4aee0c731676bc5543ebe118931e4d1"),
+    ("mamba", 1): ("280,66,4,mamba,2707939,5888652.0,89222.0,42824",
+                   "af5ddd60f45752317ecc258ef9a55a1e2e2cb30cbc318b16e4a964b820266d5a"),
+    ("mamba", 250): ("280,66,4,mamba,2707939,5521578.2,83660.3,10706000",
+                     "ece7f9dacd116eb94cb0cdf631ec1744354bcea7d2b07e7ff613dc0dacb5f62c"),
+    ("causalconv", 1): ("280,66,4,causalconv,2523139,5452972.0,82620.8,6984",
+                        "3ecaf88c7f2434589a2073ef7b14e54a9a6563313907e8dfc07129e997feb419"),
+    ("causalconv", 250): ("280,66,4,causalconv,2523139,5103746.5,77329.5,1746000",
+                          "00d4539aee5bd16b89b84a4be0c42615fe00649b92e8d2b9b281c5fe1db75a73"),
+    ("composed", 1): ("32,16,4,mamba,131666,9767784.0,610486.5,4928",
+                      "85599038fa3f0df01cc5b24f6586da765124cddd3548ad4751efd1746a0eb784"),
+    ("composed", 250): ("32,16,4,mamba,131666,181315.9,11332.2,1232000",
+                        "aff430fedb0a7eb583acc741eef0021ec694bea1fa438a3573dff3c467d50872"),
+    ("expand2", 1): ("32,16,4,mamba,70802,181352.0,11334.5,9792",
+                     "e1161f4b9542833637000f6138a09ff0ea3dea67d22e8d2bc1914d0182c06b1d"),
+    ("expand2", 250): ("32,16,4,mamba,70802,172802.3,10800.1,2448000",
+                       "8b70e17c75ff448292bc9ad1f65a1c3e47b91c7a29a260fdedec245ca490354c"),
 }
 
 
@@ -49,3 +50,8 @@ def test_profile_table_matches_golden(name, width):
     report = profile(CONFIGS[name], width)
     digest = hashlib.sha256(report.table().encode()).hexdigest()
     assert (report.row(), digest) == GOLDEN_TABLES[name, width]
+
+
+def test_profile_rejects_a_fractional_width():
+    with pytest.raises(ContractError):
+        profile(CONFIGS["composed"], 2.5)

@@ -334,6 +334,42 @@ def test_determinism_bitwise():
 
 
 # ---------------------------------------------------------------------------
+# FLOP counting
+
+
+def test_counting_tallies_the_shapes_each_op_ran():
+    x = Tensor(np.ones((2, 5, 3)))
+    with T.counting() as tally:
+        T.linear(x, Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+        T.conv1d(x, Tensor(np.ones((4, 3, 3))))
+        # a 3-tap depthwise conv skips the one padded column of each edge tap
+        T.depthwise_conv1d(x, Tensor(np.ones((3, 3))))
+        T.causal_depthwise_conv(x, np.zeros((1, 5, 3)), Tensor(np.ones((3, 2))))
+        T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        T.silu(T.add(x, T.mul(x, 2.0)))
+        T.reduce_mean(x, axis=-2)
+    assert tally == {"linear": 2 * 10 * 4 * 3, "bias": 10 * 4, "conv1d": 2 * 10 * 4 * 3 * 3,
+                     "depthwise_conv": 2 * 2 * 3 * (5 + 4 + 4) + 2 * 2 * 5 * 3 * 2,
+                     "layer_norm": 8 * 30, "mul": 30 + 6, "add": 30, "silu": 5 * 30,
+                     "reduce_sum": 30}
+
+
+def test_ops_count_only_inside_counting():
+    x = Tensor(np.ones((4, 2)))
+    with T.counting() as outer:
+        T.add(x, x)
+        with T.counting() as inner:          # the innermost tally alone gets an op
+            T.relu(x)
+        # the context unwinds when an exception passes through it
+        with pytest.raises(ValueError), T.counting() as failed:
+            T.sigmoid(x)
+            raise ValueError
+        T.add(x, x)
+    T.relu(x)
+    assert outer == {"add": 16} and inner == {"relu": 8} and failed == {"sigmoid": 32}
+
+
+# ---------------------------------------------------------------------------
 # backward / tape
 
 

@@ -160,3 +160,22 @@ def test_fit_rejects_unusable_training_data(train_cubes, patch, match):
     tc = train.TrainConfig(batch_size=1, max_steps=1, patch=patch, seed=0)
     with pytest.raises(ContractError, match=match):
         train.fit(train_cubes, [], cfg, tc)
+
+
+@pytest.mark.parametrize("train_bands,val_shape,match", [
+    (5, (16, 16, 4), "cube has 5 bands, the model 4"),
+    (4, (16, 16, 3), "cube has 3 bands, the model 4"),
+    (4, (12, 16, 4), "val cube 12x16 less its last 4 lines"),
+    (4, (16, 8, 4), "val cube 16x8 less its last 4 lines"),
+], ids=["train-bands", "val-bands", "val-too-short", "val-too-narrow"])
+def test_fit_rejects_mismatched_cubes_before_the_first_step(monkeypatch, train_bands,
+                                                             val_shape, match):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(train, "adam_step", no_step)
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=1, max_steps=2, patch=16, eval_every=1, seed=0)
+    with pytest.raises(ContractError, match=match):
+        train.fit([make_synthetic(1, 16, 16, train_bands)], [make_synthetic(2, *val_shape)],
+                  cfg, tc)
