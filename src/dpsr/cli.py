@@ -4,16 +4,17 @@ Subcommands: make-synth, degrade, train, sr-stream, eval, profile.
 `make-synth`, `degrade`, `train` and `sr-stream --out` drop a manifest next
 to their outputs with the resolved configuration, so results can be
 reproduced from the artifacts alone. `sr-stream` without `--out` is the
-onboard budget/cadence replay: it streams the cube and prints the timing
-but writes no cube and no manifest.
+onboard replay: it prints the timing and the lines that finish after the
+next acquisition at one line per `--budget-ms`, but writes no cube and no
+manifest.
 
 The model flags (`--state-size` etc.) and the keys of the model and
 training key=value files come from the fields of `DpsrConfig` and
 `TrainConfig`, so each field is declared once.
 
 Exit codes: 0 ok, 1 numeric failure, 2 I/O failure, 3 contract violation
-(including a non-positive size, factor, budget or cadence), 4 config parse
-failure.
+(including a non-positive size, factor or budget, a negative seed or a
+non-finite smoothness), 4 config parse failure.
 """
 
 import argparse
@@ -105,6 +106,8 @@ def cmd_make_synth(args):
 
     for name in ("count", "height", "width", "bands"):
         check_positive(name, getattr(args, name))
+    if args.seed < 0:
+        raise ContractError(f"seed must be >= 0, got {args.seed}")
     os.makedirs(args.out_dir, exist_ok=True)
     names = []
     for i in range(args.count):
@@ -173,8 +176,7 @@ def cmd_sr_stream(args):
     from .model import load_params
     from .stream import run_stream
 
-    if args.cadence_ms is not None:
-        check_positive("cadence_ms", args.cadence_ms)
+    check_positive("budget_ms", args.budget_ms)
     params = load_params(args.model)
     cube = read_cube(args.input)
     sr, report = run_stream(cube, params, budget_ms=args.budget_ms)
@@ -183,13 +185,10 @@ def cmd_sr_stream(args):
     if args.output:
         write_cube(sr, args.output)
         write_manifest(os.path.dirname(os.path.abspath(args.output)), "sr-stream",
-                       {"budget_ms": args.budget_ms, "cadence_ms": args.cadence_ms},
+                       {"budget_ms": args.budget_ms},
                        inputs=[args.model, args.input],
                        outputs=[args.output] + ([args.report] if args.report else []))
     print(report.table())
-    if args.cadence_ms is not None:
-        print(f"cadence {args.cadence_ms:.3f} ms: {report.count_late(args.cadence_ms)} "
-              f"lines finished after the next acquisition")
     return 0
 
 
@@ -262,17 +261,15 @@ def build_parser():
 
     s = sub.add_parser(
         "sr-stream", help="stream a cube through a trained model, timing each line",
-        description="Stream a cube line by line through a trained model and print "
-                    "per-line timing against the line budget. Without --out this is "
-                    "the budget/cadence replay: no cube and no manifest are written.")
+        description="Stream a cube line by line through a trained model; print per-line "
+                    "timing and the lines that end after the next acquisition, one line per "
+                    "--budget-ms. Without --out (the replay) no cube or manifest is written.")
     s.add_argument("--model", required=True)
     s.add_argument("--in", dest="input", required=True)
     s.add_argument("--out", dest="output",
                    help="write the SR cube here, and a manifest next to it")
-    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS)
-    s.add_argument("--cadence-ms", dest="cadence_ms", type=float,
-                   help="also count lines finished after the next acquisition "
-                        "at this fixed line cadence")
+    s.add_argument("--budget-ms", dest="budget_ms", type=float, default=PRISMA_LINE_MS,
+                   help="line acquisition period in ms (default: PRISMA's %(default)s)")
     s.add_argument("--report", help="write per-line latency CSV here")
     s.set_defaults(func=cmd_sr_stream)
 
@@ -287,7 +284,9 @@ def build_parser():
 
     s = sub.add_parser("profile", help="parameter/FLOPs/state accounting")
     _add_model_flags(s)
-    s.add_argument("--width", type=int, default=32)
+    s.add_argument("--width", type=int, default=32,
+                   help="count one streamed line this many px wide; the count runs the "
+                        "line (about 65 KB per px at full size, 143 MB at W = 2000)")
     s.set_defaults(func=cmd_profile)
     return p
 

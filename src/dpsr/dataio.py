@@ -6,6 +6,7 @@ each band, W samples — one acquisition line is one contiguous record, the
 natural unit for a pushbroom stream.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -52,8 +53,10 @@ class HsiCube:
 
 
 def write_cube(cube, path):
+    """Write the header, then one (C, W) `<f4` record per line."""
     h, w, c = cube.data.shape
     flags = _FLAG_MASK if not cube.band_valid.all() else 0
+    record = np.empty((c, w), dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(CUBE_MAGIC)
         fh.write(struct.pack("<H", CUBE_VERSION))
@@ -61,11 +64,14 @@ def write_cube(cube, path):
         fh.write(struct.pack("<B", flags))
         if flags & _FLAG_MASK:
             fh.write(cube.band_valid.astype(np.uint8).tobytes())
-        # BIL: per line, per band, W samples
-        fh.write(cube.data.transpose(0, 2, 1).astype("<f4").tobytes())
+        for line in cube.data:
+            record[...] = line.T
+            fh.write(record)
 
 
 def read_cube(path):
+    """Check the header and the file size, then read one (C, W) record per
+    line into a reused buffer and copy it, transposed, into the cube."""
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, "magic")
         if magic != CUBE_MAGIC:
@@ -85,10 +91,14 @@ def read_cube(path):
             band_valid = np.frombuffer(read_exact(fh, c, "band mask"), dtype=np.uint8)
             if (band_valid > 1).any():
                 raise FormatError("band mask bytes must be 0 or 1")
-        payload = read_exact(fh, 4 * h * w * c, "payload")
+        data = np.empty((h, w, c), dtype=np.float32)
+        record = np.empty((c, w), dtype="<f4")
+        for line in data:
+            if fh.readinto(record) != record.nbytes:
+                raise FormatError("truncated file while reading the payload")
+            line[...] = record.T
         if fh.read(1):
             raise FormatError("trailing bytes after the payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(h, c, w).transpose(0, 2, 1)
     return HsiCube(data=data, band_valid=band_valid)
 
 
@@ -190,6 +200,8 @@ def _endmember_spectra(rng, rank, bands):
 def make_synthetic(seed, height, width, bands, smoothness=3.0):
     """Deterministic synthetic scene: low-rank endmember mixing over
     band-limited abundance fields, clipped to [0, 1]."""
+    if not 0 <= smoothness < math.inf:
+        raise ContractError(f"smoothness must be finite and >= 0, got {smoothness}")
     rng = np.random.default_rng(seed)
     spectra = _endmember_spectra(rng, SYNTH_RANK, bands)
     fields = np.stack([_band_limited_field(rng, height, width, smoothness)

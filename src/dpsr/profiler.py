@@ -93,7 +93,11 @@ class CostReport:
 
 
 def profile(config, width=32):
-    """Count one streamed line of `width` px through every block."""
+    """Count one streamed line of `width` px through every block.
+
+    The count runs that line, so it costs what one line at that width does:
+    about 65 KB per px at full size, 143 MB at W = 2000.
+    """
     width = positive_int("width", width)
     params = DpsrParams.zeros(config)
     items, sizes = [], []

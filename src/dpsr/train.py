@@ -44,6 +44,8 @@ class TrainConfig:
                 raise ContractError(f"{name} must be finite and >= 0, got {value}")
         for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
             setattr(self, name, positive_int(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 def loss_terms(pred, target, alpha_s, alpha_g):

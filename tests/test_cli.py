@@ -80,34 +80,34 @@ def test_simulate_is_not_a_command():
         build_parser().parse_args(["simulate", "--model", "m.dpsrw", "--in", "lr.hsc"])
 
 
-# "simulate" names the replay: sr-stream without --out, which writes no cube
-# and no manifest
-def test_simulate_reports_the_cadence_timeline(files, tmp_path, capsys):
-    argv = ["sr-stream", *files(), "--cadence-ms", "1000", "--report", str(tmp_path / "l.csv")]
+def test_sr_stream_takes_one_line_period(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sr-stream", "--model", "m.dpsrw", "--in", "lr.hsc",
+                                   "--cadence-ms", "1000"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["sr-stream", "--help"])
+    assert "cadence" not in capsys.readouterr().out
+
+
+# the replay: sr-stream without --out, which writes no cube and no manifest
+def test_sr_stream_replay_reports_the_late_lines(files, tmp_path, capsys):
+    argv = ["sr-stream", *files(), "--budget-ms", "1000", "--report", str(tmp_path / "l.csv")]
     before = set(tmp_path.iterdir())
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[0] for line in out[:8]] == [
+    assert [line.split("  ")[0] for line in out] == [
         "lines processed", "budget", "first line (priming)", "mean latency", "p95 latency",
-        "max latency", "deadline misses", "state memory"]
-    assert out[8:] == ["cadence 1000.000 ms: 0 lines finished after the next acquisition"]
+        "max latency", "late lines", "state memory"]
+    assert out[6].split() == ["late", "lines", "0"]
     assert set(tmp_path.iterdir()) - before == {tmp_path / "l.csv"}
     assert len((tmp_path / "l.csv").read_text().splitlines()) == 1 + 6
 
 
-@pytest.mark.parametrize("extra", [
-    ["--cadence-ms", "0"], ["--cadence-ms", "-1"], ["--cadence-ms", "nan"],
-    ["--budget-ms", "nan"], ["--budget-ms", "0"],
-])
-def test_simulate_rejects_non_positive_budget_and_cadence(files, extra):
-    assert main(["sr-stream", *files(), *extra]) == EXIT_CONTRACT
-
-
-@pytest.mark.parametrize("cadence", ["0", "nan"])
-def test_simulate_rejects_the_cadence_before_reading_any_file(tmp_path, cadence):
+@pytest.mark.parametrize("budget", ["0", "nan"])
+def test_sr_stream_rejects_the_budget_before_reading_any_file(tmp_path, budget):
     # neither file exists, so a check made after loading would exit with an I/O error
     argv = ["sr-stream", "--model", str(tmp_path / "none.dpsrw"),
-            "--in", str(tmp_path / "none.hsc"), "--cadence-ms", cadence]
+            "--in", str(tmp_path / "none.hsc"), "--budget-ms", budget]
     assert main(argv) == EXIT_CONTRACT
 
 
@@ -232,7 +232,7 @@ def test_pipeline_end_to_end(synth, capsys):
     assert manifest(synth / "sr_stream.manifest.json") == {
         "command": "sr-stream", "config_file": "", "seed": None, "inputs": [model, str(lr)],
         "outputs": [str(sr), str(synth / "lines.csv")],
-        "resolved_config": {"budget_ms": PRISMA_LINE_MS, "cadence_ms": None},
+        "resolved_config": {"budget_ms": PRISMA_LINE_MS},
     }
     assert len((synth / "lines.csv").read_text().splitlines()) == 1 + 8
     assert main(["eval", "--pred", str(sr), "--ref", str(hr), "--factor", "4",
@@ -262,6 +262,7 @@ def test_degrade_rejects_a_non_positive_factor(synth, factor):
     *(pytest.param(key, "0", id=key)
       for key in ("batch_size", "max_steps", "patch", "eval_every", "patience")),
     ("lr", "nan"), ("lr", "inf"), ("lr", "-1e-3"), ("alpha_s", "nan"), ("alpha_g", "inf"),
+    ("seed", "-3"),   # default_rng would raise ValueError: a traceback, not exit 3
 ])
 def test_train_rejects_a_non_positive_size(synth, capsys, key, value):
     # nan < 0 is false, so a `value < 0` check alone lets NaN through
@@ -318,6 +319,21 @@ def test_eval_rejects_a_zero_factor(synth):
 def test_make_synth_rejects_a_non_positive_size(tmp_path, flag):
     assert main(["make-synth", "--out-dir", str(tmp_path / "d"), f"{flag}=0"]) == EXIT_CONTRACT
     assert not (tmp_path / "d").exists()
+
+
+def test_make_synth_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["make-synth", "--out-dir", str(tmp_path / "d"), "--seed=-1"]) == EXIT_CONTRACT
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("smoothness", ["nan", "inf", "-1"])
+def test_make_synth_rejects_a_bad_smoothness(tmp_path, capsys, smoothness):
+    # a NaN smoothness made an all-NaN cube
+    argv = ["make-synth", "--out-dir", str(tmp_path / "d"), f"--smoothness={smoothness}"]
+    assert main(argv) == EXIT_CONTRACT
+    assert "smoothness" in capsys.readouterr().err
+    assert not list((tmp_path / "d").glob("*"))
 
 
 @pytest.mark.parametrize("width", ["0", "-3"])

@@ -34,6 +34,25 @@ def test_cube_round_trip_is_bit_exact(tmp_path, band_valid):
     assert (tmp_path / "again.hsc").read_bytes() == raw
 
 
+@pytest.mark.parametrize("band_valid", [None, [True, False, True]],
+                         ids=["no-mask", "mask"])
+def test_cube_matches_a_struct_packed_bil_reference(tmp_path, band_valid):
+    src = cube(shape=(4, 5, 3), band_valid=band_valid)
+    h, w, c = src.data.shape
+    ref = b"HSC1" + struct.pack("<H3IB", 1, h, w, c, band_valid is not None)
+    if band_valid is not None:
+        ref += bytes(band_valid)
+    for y in range(h):
+        for b in range(c):
+            ref += struct.pack(f"<{w}f", *(src.data[y, x, b] for x in range(w)))
+    write_cube(src, tmp_path / "c.hsc")
+    assert (tmp_path / "c.hsc").read_bytes() == ref
+    (tmp_path / "ref.hsc").write_bytes(ref)
+    got = read_cube(tmp_path / "ref.hsc")
+    assert np.array_equal(got.data, src.data)
+    assert np.array_equal(got.band_valid, src.band_valid)
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda b: b"HSC2" + b[4:],                       # bad magic
     lambda b: b[:4] + struct.pack("<H", 2) + b[6:],  # bad version

@@ -1,4 +1,4 @@
-"""Streaming state accounting, the stream report and the fixed-cadence timeline."""
+"""Streaming state accounting, the stream report and its late-line count."""
 
 import types
 
@@ -35,33 +35,42 @@ def test_state_accounting_matches_real_state_and_is_constant(kind, kernel_lines)
     assert expected == cfg.n_clff * per_block + width * cfg.bands * 4
 
 
-def report(first_ms, latencies_ms):
-    return StreamReport(budget_ms=4.32, first_line_ms=first_ms,
+def report(first_ms, latencies_ms, budget_ms=2.0):
+    return StreamReport(budget_ms=budget_ms, first_line_ms=first_ms,
                         latencies_ms=list(latencies_ms))
 
 
 def test_backlog_makes_fast_lines_late():
-    # cadence 2: line y is acquired at 2y and due by 2y + 2
+    # budget 2: line y is acquired at 2y and due by 2y + 2
     #   line 1: starts 2, done 7 > 4 late
     #   line 2: 1 ms, but starts 7, done 8 > 6 late
     #   line 3: starts 8, done 9 > 8 late
     #   line 4: starts 9, done 10, on time (not after 10)
-    assert report(1.0, [5.0, 1.0, 1.0, 1.0]).count_late(2.0) == 3
+    assert report(1.0, [5.0, 1.0, 1.0, 1.0]).late_lines == 3
 
 
 def test_no_line_late_when_each_fits_its_period():
     # each line finishes exactly as the next one is acquired
-    assert report(0.5, [2.0, 2.0, 2.0]).count_late(2.0) == 0
-    assert report(0.5, [1.5, 0.1, 1.9]).count_late(2.0) == 0
+    assert report(0.5, [2.0, 2.0, 2.0]).late_lines == 0
+    assert report(0.5, [1.5, 0.1, 1.9]).late_lines == 0
 
 
-@pytest.mark.parametrize("cadence", [0.0, -1.0, float("nan")])
-def test_cadence_must_be_positive(cadence):
+def test_a_line_slower_than_the_budget_is_always_late():
+    latencies = np.random.default_rng(0).exponential(2.0, size=(200, 12))
+    for first, *rest in latencies:
+        rep = report(first, rest)
+        assert rep.late_lines >= sum(ms > rep.budget_ms for ms in rest)
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+def test_budget_must_be_positive(budget):
     with pytest.raises(ContractError):
-        report(0.5, [1.0]).count_late(cadence)
+        report(0.5, [1.0], budget)
 
 
-# wall-clock ms of lines 0..6 under the fake clock below; 4 ms splits them
+# wall-clock ms of lines 0..6 under the fake clock below; at a 4 ms budget
+# three are slower than the budget, and the 10 ms priming line's backlog
+# makes all six late
 LINE_MS = [10.0, 1.0, 5.0, 2.0, 6.0, 3.0, 7.0]
 
 
@@ -78,14 +87,14 @@ def timed_stream(monkeypatch):
     return cfg, run_stream(cube, DpsrParams.init(cfg, seed=0), budget_ms=4.0)
 
 
-def test_stream_report_counts_lines_and_deadline_misses(timed_stream):
+def test_stream_report_counts_lines_and_late_lines(timed_stream):
     cfg, (sr, rep) = timed_stream
     assert sr.data.shape == ((len(LINE_MS) - 1) * cfg.scale, 5 * cfg.scale, 4)
     assert rep.lines_processed == len(LINE_MS)
     assert rep.first_line_ms == pytest.approx(LINE_MS[0])
     assert rep.latencies_ms == pytest.approx(LINE_MS[1:])
-    assert rep.deadline_misses == sum(ms > 4.0 for ms in LINE_MS[1:]) == 3
-    assert "deadline misses       3" in rep.table()
+    assert rep.late_lines == 6
+    assert "\nlate lines            6\n" in rep.table()
 
 
 def test_stream_report_csv_has_one_row_per_line_and_constant_state(timed_stream, tmp_path):
