@@ -13,8 +13,11 @@ training key=value files come from the fields of `DpsrConfig` and
 `TrainConfig`, so each field is declared once.
 
 Exit codes: 0 ok, 1 numeric failure, 2 I/O failure, 3 contract violation
-(including a non-positive size, factor or budget, a negative seed or a
-non-finite smoothness), 4 config parse failure.
+(including a size, count or factor that is not an integer > 0, a budget
+that is not > 0, a seed that is not an integer >= 0, or a negative or
+non-finite smoothness; `make-synth` then creates no `--out-dir`), 4 config
+parse failure. The library checks each of these arguments; the CLI
+restates none of its rules.
 """
 
 import argparse
@@ -24,10 +27,13 @@ import os
 import sys
 import time
 
+from .dataio import SYNTH_SMOOTHNESS, bicubic_downsample, make_synthetic, read_cube, write_cube
 from .errors import ConfigError, ContractError, NumericError, check_positive
-from .model import MEMORY_KINDS, DpsrConfig
-from .stream import PRISMA_LINE_MS
-from .train import TrainConfig
+from .metrics import EvalReport, evaluate
+from .model import MEMORY_KINDS, DpsrConfig, load_params, save_params
+from .profiler import PROFILE_WIDTH, profile
+from .stream import PRISMA_LINE_MS, run_stream
+from .train import TrainConfig, fit, write_log
 
 EXIT_NUMERIC = 1
 EXIT_IO = 2
@@ -102,17 +108,12 @@ def _add_model_flags(sub):
 
 
 def cmd_make_synth(args):
-    from .dataio import make_synthetic, write_cube
-
-    for name in ("count", "height", "width", "bands"):
-        check_positive(name, getattr(args, name))
-    if args.seed < 0:
-        raise ContractError(f"seed must be >= 0, got {args.seed}")
-    os.makedirs(args.out_dir, exist_ok=True)
+    check_positive("count", args.count)
     names = []
     for i in range(args.count):
         cube = make_synthetic(args.seed + i, args.height, args.width,
                               args.bands, smoothness=args.smoothness)
+        os.makedirs(args.out_dir, exist_ok=True)    # once the arguments are accepted
         name = f"synth_{args.seed + i:05d}.hsc"
         write_cube(cube, os.path.join(args.out_dir, name))
         names.append(name)
@@ -126,8 +127,6 @@ def cmd_make_synth(args):
 
 
 def cmd_degrade(args):
-    from .dataio import bicubic_downsample, read_cube, write_cube
-
     cube = read_cube(args.input)
     lr = bicubic_downsample(cube, args.factor)
     write_cube(lr, args.output)
@@ -139,8 +138,6 @@ def cmd_degrade(args):
 
 
 def _load_cubes(directory):
-    from .dataio import read_cube
-
     names = sorted(n for n in os.listdir(directory) if n.endswith(".hsc"))
     if not names:
         raise ContractError(f"no .hsc cubes in {directory!r}")
@@ -148,9 +145,6 @@ def _load_cubes(directory):
 
 
 def cmd_train(args):
-    from .model import save_params
-    from .train import fit, write_log
-
     mcfg = _model_config(args)
     tcfg = TrainConfig(**_merged(args, args.train_config, TRAIN_KEYS))
 
@@ -172,10 +166,6 @@ def cmd_train(args):
 
 
 def cmd_sr_stream(args):
-    from .dataio import read_cube, write_cube
-    from .model import load_params
-    from .stream import run_stream
-
     check_positive("budget_ms", args.budget_ms)
     params = load_params(args.model)
     cube = read_cube(args.input)
@@ -193,9 +183,6 @@ def cmd_sr_stream(args):
 
 
 def cmd_eval(args):
-    from .dataio import read_cube
-    from .metrics import EvalReport, evaluate
-
     pred = read_cube(args.pred)
     ref = read_cube(args.ref)
     report = evaluate(pred, ref, args.factor)
@@ -215,8 +202,6 @@ def cmd_eval(args):
 
 
 def cmd_profile(args):
-    from .profiler import profile
-
     report = profile(_model_config(args), width=args.width)
     print(report.table())
     print()
@@ -238,7 +223,7 @@ def build_parser():
     s.add_argument("--height", type=int, default=64)
     s.add_argument("--width", type=int, default=64)
     s.add_argument("--bands", type=int, default=8)
-    s.add_argument("--smoothness", type=float, default=3.0)
+    s.add_argument("--smoothness", type=float, default=SYNTH_SMOOTHNESS)
     s.set_defaults(func=cmd_make_synth)
 
     s = sub.add_parser("degrade", help="bicubic-downsample a cube")
@@ -284,7 +269,7 @@ def build_parser():
 
     s = sub.add_parser("profile", help="parameter/FLOPs/state accounting")
     _add_model_flags(s)
-    s.add_argument("--width", type=int, default=32,
+    s.add_argument("--width", type=int, default=PROFILE_WIDTH,
                    help="count one streamed line this many px wide; the count runs the "
                         "line (about 65 KB per px at full size, 143 MB at W = 2000)")
     s.set_defaults(func=cmd_profile)

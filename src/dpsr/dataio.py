@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_size, positive_int, read_exact
+from .errors import ContractError, FormatError, check_size, positive_int, read_exact, seed_int
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -168,6 +168,7 @@ def bicubic_downsample(cube, r):
 
 SYNTH_RANK = 3          # endmembers mixed per scene
 SYNTH_CONTRAST = 2.0    # softmax sharpness of the abundance fields
+SYNTH_SMOOTHNESS = 3.0  # default Gaussian blur sigma of the abundance fields, in px
 
 
 def _band_limited_field(rng, h, w, smoothness):
@@ -197,9 +198,18 @@ def _endmember_spectra(rng, rank, bands):
     return spectra
 
 
-def make_synthetic(seed, height, width, bands, smoothness=3.0):
+def make_synthetic(seed, height, width, bands, smoothness=SYNTH_SMOOTHNESS):
     """Deterministic synthetic scene: low-rank endmember mixing over
-    band-limited abundance fields, clipped to [0, 1]."""
+    band-limited abundance fields, clipped to [0, 1].
+
+    ContractError, naming the argument, unless `seed` is an integer >= 0,
+    `height`, `width` and `bands` are integers > 0 and `smoothness` is
+    finite and >= 0.
+    """
+    seed = seed_int(seed)
+    height = positive_int("height", height)
+    width = positive_int("width", width)
+    bands = positive_int("bands", bands)
     if not 0 <= smoothness < math.inf:
         raise ContractError(f"smoothness must be finite and >= 0, got {smoothness}")
     rng = np.random.default_rng(seed)

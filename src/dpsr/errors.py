@@ -3,8 +3,17 @@
 The CLI maps these onto process exit codes, so raising the right class
 matters: NumericError -> 1, OSError -> 2, ContractError (and subclasses)
 -> 3, ConfigError -> 4.
+
+Each argument rule is stated here once, and raises ContractError naming
+the argument:
+- `check_positive`: a number > 0 (NaN fails), such as a time budget;
+- `positive_int`: an integer > 0, such as a size, count or factor;
+- `seed_int`: an integer >= 0, the seed of an RNG.
+The two integer rules return a Python int, and let an integral float such
+as 2.0 pass as 2; 2.5 fails rather than truncating.
 """
 
+import numbers
 import os
 
 
@@ -33,9 +42,16 @@ class ConfigError(DpsrError):
 
 
 def check_positive(name, value):
-    """ContractError unless `value` > 0; NaN fails too, since NaN > 0 is false."""
-    if not value > 0:
+    """ContractError unless `value` is a number > 0; NaN fails too, since
+    NaN > 0 is false."""
+    if not (isinstance(value, numbers.Real) and value > 0):
         raise ContractError(f"{name} must be > 0, got {value}")
+
+
+def _integral(name, value):
+    if not float(value).is_integer():
+        raise ContractError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def positive_int(name, value):
@@ -45,9 +61,15 @@ def positive_int(name, value):
     truncating to 0 or 2.
     """
     check_positive(name, value)
-    if not float(value).is_integer():
-        raise ContractError(f"{name} must be an integer, got {value}")
-    return int(value)
+    return _integral(name, value)
+
+
+def seed_int(value):
+    """`value` as an int; ContractError unless it is >= 0 and integral, as
+    NumPy's `default_rng` needs (it raises ValueError or TypeError otherwise)."""
+    if not (isinstance(value, numbers.Real) and value >= 0):
+        raise ContractError(f"seed must be >= 0, got {value}")
+    return _integral("seed", value)
 
 
 def check_size(fh, need, what):

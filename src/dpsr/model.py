@@ -23,7 +23,8 @@ import numpy as np
 from . import ssm, tensor as T
 from .blocks import (NafParams, SfeParams, UpsamplerParams, bilinear_two_line,
                      naf_forward, sfe_forward, upsample_line)
-from .errors import ContractError, FormatError, NumericError, check_size, read_exact
+from .errors import (ContractError, FormatError, NumericError, check_size, positive_int,
+                     read_exact)
 from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
@@ -49,9 +50,7 @@ class DpsrConfig:
         for name in ("bands", "features", "expand", "state_size",
                      "kernel_lines", "up_features", "scale", "n_clff",
                      "ca_reduction"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ContractError(f"config field {name} must be a positive int, got {v!r}")
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
         if self.features % 2 != 0:
             raise ContractError("features must be even (gated blocks halve channels)")
         if self.memory_kind not in MEMORY_KINDS:
@@ -128,6 +127,10 @@ class StreamState:
     @property
     def width(self):
         return self.mem[0].width
+
+    @property
+    def dtype(self):
+        return self.mem[0].conv_tail.dtype
 
     def nbytes(self):
         n = sum(m.nbytes() for m in self.mem)
@@ -215,6 +218,10 @@ def dpsr_step(lines, params, state):
     (there is no previous line to interpolate from). Any chunking of a
     stream gives the same output as `dpsr_forward_image`.
 
+    A primed stream casts each chunk to its state's dtype, so its state
+    and outputs keep one dtype and size; a fresh stream takes `Tensor`'s
+    rule (float64 stays float64, anything else becomes float32).
+
     A chunk holding a NaN or +-inf value raises ContractError naming the
     line; nothing of the chunk is processed and `state` is left as it was,
     so the stream can skip the bad line and go on from `state`.
@@ -226,7 +233,9 @@ def dpsr_step(lines, params, state):
                             f"(k, W, {cfg.bands}) chunk, got {lines.shape}")
     x = lines.reshape((-1,) + lines.shape[-2:])
     if state is None:
+        x = Tensor(x).data
         state = init_stream(params, x.shape[1], dtype=x.dtype)
+    x = x.astype(state.dtype, copy=False)
     if x.shape[1] != state.width:
         raise ContractError(
             f"dpsr_step: line width {x.shape[1]} vs stream width {state.width}")

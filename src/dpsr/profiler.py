@@ -92,7 +92,10 @@ class CostReport:
                 "flops_per_px,flops_per_sample,state_bytes")
 
 
-def profile(config, width=32):
+PROFILE_WIDTH = 32     # px of the line `profile` counts by default
+
+
+def profile(config, width=PROFILE_WIDTH):
     """Count one streamed line of `width` px through every block.
 
     The count runs that line, so it costs what one line at that width does:

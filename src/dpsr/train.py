@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataio import HsiCube, bicubic_downsample, dihedral_views, extract_patches
-from .errors import ContractError, NumericError, positive_int
+from .errors import ContractError, NumericError, positive_int, seed_int
 from .metrics import SSIM_WINDOW, evaluate
 from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
@@ -44,8 +44,7 @@ class TrainConfig:
                 raise ContractError(f"{name} must be finite and >= 0, got {value}")
         for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
             setattr(self, name, positive_int(name, getattr(self, name)))
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        self.seed = seed_int(self.seed)
 
 
 def loss_terms(pred, target, alpha_s, alpha_g):

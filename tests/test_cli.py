@@ -1,5 +1,6 @@
 """Command-line parser defaults, exit codes, manifests and the DPSR_THREADS cap."""
 
+import inspect
 import json
 import os
 import struct
@@ -12,8 +13,9 @@ import pytest
 
 import dpsr
 from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, build_parser, main
-from dpsr.dataio import HsiCube, write_cube
+from dpsr.dataio import HsiCube, make_synthetic, write_cube
 from dpsr.model import DpsrConfig, DpsrParams, save_params
+from dpsr.profiler import profile
 from dpsr.stream import PRISMA_LINE_MS
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -333,7 +335,23 @@ def test_make_synth_rejects_a_bad_smoothness(tmp_path, capsys, smoothness):
     argv = ["make-synth", "--out-dir", str(tmp_path / "d"), f"--smoothness={smoothness}"]
     assert main(argv) == EXIT_CONTRACT
     assert "smoothness" in capsys.readouterr().err
-    assert not list((tmp_path / "d").glob("*"))
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["make-synth", "degrade", "train", "sr-stream", "eval",
+                                     "profile"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dpsr {command} ")
+
+
+def test_make_synth_and_profile_defaults_are_the_library_defaults():
+    assert build_parser().parse_args(["make-synth", "--out-dir", "d"]).smoothness == \
+        inspect.signature(make_synthetic).parameters["smoothness"].default
+    assert build_parser().parse_args(["profile", "--bands", "4"]).width == \
+        inspect.signature(profile).parameters["width"].default
 
 
 @pytest.mark.parametrize("width", ["0", "-3"])

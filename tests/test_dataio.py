@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dpsr.dataio import (HsiCube, augment8, bicubic_downsample, catmull_rom,
-                         dihedral_views, extract_patches, read_cube, resample_matrix,
-                         write_cube)
+                         dihedral_views, extract_patches, make_synthetic, read_cube,
+                         resample_matrix, write_cube)
 from dpsr.errors import ContractError, FormatError, positive_int
 
 
@@ -224,3 +224,20 @@ def test_extract_patches_tiles_row_major_and_drops_the_remainder():
         assert np.array_equal(p.data, src.data[y:y + 3, x:x + 3])
         assert not np.shares_memory(p.data, src.data)
         assert np.array_equal(p.band_valid, src.band_valid)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((-1, 8, 8, 3), "seed"), ((2.5, 8, 8, 3), "seed"),
+    ((0, 0, 8, 3), "height"), ((0, 2.5, 8, 3), "height"),
+    ((0, 8, 0, 3), "width"), ((0, 8, 8, 0), "bands"),
+    ((0, 8, 8, 3, float("nan")), "smoothness"), ((0, 8, 8, 3, -1.0), "smoothness"),
+], ids=lambda v: repr(v) if isinstance(v, tuple) else v)
+def test_make_synthetic_names_each_bad_argument(args, name):
+    # at sizes of 0 or 2.5 NumPy raised ZeroDivisionError or TypeError
+    with pytest.raises(ContractError, match=name):
+        make_synthetic(*args)
+
+
+def test_make_synthetic_takes_integral_floats_as_ints():
+    got = make_synthetic(3.0, 8.0, 6.0, 3.0).data
+    assert got.tobytes() == make_synthetic(3, 8, 6, 3).data.tobytes()

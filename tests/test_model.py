@@ -235,3 +235,57 @@ def test_upsampler_runs_only_on_lines_whose_output_is_kept(monkeypatch):
     sr, _ = dpsr_step(cube[1:3], params, state)
     assert sr.shape == (2 * 4, 3 * 4, 4) and seen == [2]
     assert dpsr_forward_image(cube, params).shape == (4 * 4, 3 * 4, 4) and seen == [2, 4]
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+@pytest.mark.parametrize("dtype", [np.float64, np.int64], ids=["float64", "int64"])
+def test_a_float32_stream_casts_other_lines_to_its_dtype(kind, dtype):
+    params = DpsrParams.init(small_config(kind), seed=0)
+    cube = (8 * np.random.default_rng(4).random((4, 6, 4))).astype(dtype)
+    _, state = dpsr_step(cube[0].astype(np.float32), params, None)
+    nbytes = state.nbytes()
+    sr, other = dpsr_step(cube[1], params, state)
+    want, cast = dpsr_step(cube[1].astype(np.float32), params, state)
+    assert sr.dtype == np.float32 and sr.tobytes() == want.tobytes()
+    assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
+               for a, b in zip(state_arrays(other), state_arrays(cast)) if a is not None)
+    assert other.nbytes() == nbytes
+    sr, other = dpsr_step(cube[2:], params, other)
+    assert sr.dtype == np.float32 and other.nbytes() == nbytes
+
+
+@pytest.mark.parametrize("dtype, want", [(np.float64, np.float64), (np.float32, np.float32),
+                                         (np.int64, np.float32), (np.float16, np.float32)])
+def test_a_fresh_stream_takes_the_tensor_dtype_rule(dtype, want):
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    line = (8 * np.random.default_rng(4).random((6, 4))).astype(dtype)
+    _, state = dpsr_step(line, params, None)
+    assert all(a.dtype == want for a in state_arrays(state) if a is not None)
+
+
+def test_a_float32_line_passes_into_the_stream_uncopied(monkeypatch):
+    import dpsr.model
+    seen = []
+    real = dpsr.model._forward
+    monkeypatch.setattr(dpsr.model, "_forward", lambda x, p, s: seen.append(x.data) or real(x, p, s))
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    cube = np.random.default_rng(4).random((3, 6, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[0], params, None)
+    dpsr_step(cube[1:], params, state)
+    assert np.shares_memory(seen[0], cube[0]) and np.shares_memory(seen[1], cube[1:])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bands", 0), ("bands", 2.5), ("bands", float("nan")), ("bands", "4"), ("n_clff", 0),
+    ("ca_reduction", 1.5),
+])
+def test_config_sizes_must_be_positive_integers(field, value):
+    with pytest.raises(ContractError, match=field):
+        DpsrConfig(**{"bands": 4, field: value})
+
+
+def test_an_integral_float_config_size_passes_as_int():
+    cfg = DpsrConfig(bands=2.0, features=8.0)
+    assert (cfg.bands, cfg.features) == (2, 8)
+    assert type(cfg.bands) is int and type(cfg.features) is int
+    assert cfg == DpsrConfig(bands=2, features=8)

@@ -128,6 +128,18 @@ def test_train_config_sizes_must_be_integers(name):
     assert value == 16 and type(value) is int
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3"])
+def test_train_config_seed_must_be_a_non_negative_integer(seed):
+    # 2.5 passed here and stopped fit in NumPy's TypeError
+    with pytest.raises(ContractError, match="seed"):
+        train.TrainConfig(seed=seed)
+
+
+def test_an_integral_float_seed_passes_as_int():
+    seed = train.TrainConfig(seed=3.0).seed
+    assert seed == 3 and type(seed) is int
+
+
 def test_prepare_pairs_equals_augmented_copies_and_shares_each_patch():
     cube = make_synthetic(5, 24, 16, 3)
     cube.band_valid[1] = False
