@@ -6,13 +6,13 @@ each band, W samples — one acquisition line is one contiguous record, the
 natural unit for a pushbroom stream.
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_size, positive_int, read_exact, seed_int
+from .errors import (ContractError, FormatError, check_non_negative, check_size, positive_int,
+                     read_exact, seed_int)
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -26,8 +26,8 @@ class HsiCube:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise ContractError(f"cube must be (H, W, C), got {self.data.shape}")
+        if self.data.ndim != 3 or 0 in self.data.shape:
+            raise ContractError(f"cube must be a non-empty (H, W, C), got {self.data.shape}")
         if self.band_valid is None:
             self.band_valid = np.ones(self.data.shape[2], dtype=bool)
         else:
@@ -210,8 +210,7 @@ def make_synthetic(seed, height, width, bands, smoothness=SYNTH_SMOOTHNESS):
     height = positive_int("height", height)
     width = positive_int("width", width)
     bands = positive_int("bands", bands)
-    if not 0 <= smoothness < math.inf:
-        raise ContractError(f"smoothness must be finite and >= 0, got {smoothness}")
+    check_non_negative("smoothness", smoothness)
     rng = np.random.default_rng(seed)
     spectra = _endmember_spectra(rng, SYNTH_RANK, bands)
     fields = np.stack([_band_limited_field(rng, height, width, smoothness)

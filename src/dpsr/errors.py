@@ -7,12 +7,14 @@ matters: NumericError -> 1, OSError -> 2, ContractError (and subclasses)
 Each argument rule is stated here once, and raises ContractError naming
 the argument:
 - `check_positive`: a number > 0 (NaN fails), such as a time budget;
+- `check_non_negative`: a finite number >= 0, such as a learning rate;
 - `positive_int`: an integer > 0, such as a size, count or factor;
 - `seed_int`: an integer >= 0, the seed of an RNG.
 The two integer rules return a Python int, and let an integral float such
 as 2.0 pass as 2; 2.5 fails rather than truncating.
 """
 
+import math
 import numbers
 import os
 
@@ -48,6 +50,12 @@ def check_positive(name, value):
         raise ContractError(f"{name} must be > 0, got {value}")
 
 
+def check_non_negative(name, value):
+    """ContractError unless `value` is a finite number >= 0."""
+    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        raise ContractError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _integral(name, value):
     if not float(value).is_integer():
         raise ContractError(f"{name} must be an integer, got {value}")
@@ -67,8 +75,7 @@ def positive_int(name, value):
 def seed_int(value):
     """`value` as an int; ContractError unless it is >= 0 and integral, as
     NumPy's `default_rng` needs (it raises ValueError or TypeError otherwise)."""
-    if not (isinstance(value, numbers.Real) and value >= 0):
-        raise ContractError(f"seed must be >= 0, got {value}")
+    check_non_negative("seed", value)
     return _integral("seed", value)
 
 

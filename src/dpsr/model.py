@@ -29,6 +29,11 @@ from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
 MAGIC = b"DPSRW001"
+# the DPSRW001 config header: these DpsrConfig fields in this frozen order,
+# one <u4 each, memory_kind as its MEMORY_KINDS index
+HEADER_FIELDS = ("bands", "features", "expand", "state_size", "kernel_lines",
+                 "up_features", "scale", "n_clff", "memory_kind", "ca_reduction")
+HEADER = struct.Struct(f"<{len(HEADER_FIELDS)}I")
 
 
 @dataclass(frozen=True)
@@ -55,10 +60,6 @@ class DpsrConfig:
             raise ContractError("features must be even (gated blocks halve channels)")
         if self.memory_kind not in MEMORY_KINDS:
             raise ContractError(f"memory_kind must be one of {MEMORY_KINDS}")
-
-    @property
-    def inner(self):
-        return self.expand * self.features
 
     @property
     def selective(self):
@@ -144,15 +145,6 @@ def init_stream(params, width, dtype=np.float32):
                             for _, mem in params.clff])
 
 
-def _memory(z, mem_params, mstate, selective, whole):
-    # One forward under two names: the whole-image forward enters by
-    # `*_scan`, a stream by `*_step`, so per-layer timings keep training
-    # and streaming memory time apart.
-    if whole:
-        return (ssm.mamba_scan if selective else ssm.causalconv_scan)(z, mem_params, mstate)
-    return (ssm.mamba_step if selective else ssm.causalconv_step)(z, mem_params, mstate)
-
-
 def _first_bad_line(a):
     """Index along axis 0 of the first slice holding a non-finite value, or None."""
     finite = np.isfinite(a)
@@ -184,7 +176,7 @@ def _forward(x, params, state):
     new_mem = []
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
-        z, mstate = _memory(z, mem, mstate, cfg.selective, whole)
+        z, mstate = ssm.entry(mem, whole)(z, mem, mstate)
         # a non-finite latent reaches z through the readout, gate and output
         # projection, so the (L, W, F) output is checked, not the (L, W, N, EF) latent
         row = None if mstate.h is None else _first_bad_line(z.data)
@@ -270,13 +262,11 @@ def _write_tensor(fh, arr):
 
 
 def save_params(params, path):
-    cfg = params.config
+    fields = {name: getattr(params.config, name) for name in HEADER_FIELDS}
+    fields["memory_kind"] = MEMORY_KINDS.index(fields["memory_kind"])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack(
-            "<10I", cfg.bands, cfg.features, cfg.expand, cfg.state_size,
-            cfg.kernel_lines, cfg.up_features, cfg.scale, cfg.n_clff,
-            MEMORY_KINDS.index(cfg.memory_kind), cfg.ca_reduction))
+        fh.write(HEADER.pack(*fields.values()))
         for _, t in params.named_tensors():
             _write_tensor(fh, t.data)
 
@@ -293,15 +283,14 @@ def load_params(path):
         magic = read_exact(fh, len(MAGIC), "magic")
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}; not a model container")
-        fields = struct.unpack("<10I", read_exact(fh, 40, "config header"))
-        kind_idx = fields[8]
+        fields = dict(zip(HEADER_FIELDS, HEADER.unpack(
+            read_exact(fh, HEADER.size, "config header"))))
+        kind_idx = fields["memory_kind"]
         if kind_idx >= len(MEMORY_KINDS):
             raise FormatError(f"unknown memory kind index {kind_idx}")
+        fields["memory_kind"] = MEMORY_KINDS[kind_idx]
         try:
-            cfg = DpsrConfig(bands=fields[0], features=fields[1], expand=fields[2],
-                             state_size=fields[3], kernel_lines=fields[4],
-                             up_features=fields[5], scale=fields[6], n_clff=fields[7],
-                             memory_kind=MEMORY_KINDS[kind_idx], ca_reduction=fields[9])
+            cfg = DpsrConfig(**fields)
         except ContractError as e:
             raise FormatError(f"invalid config header: {e}") from e
         check_size(fh, _record_bytes(cfg), "config header")

@@ -112,12 +112,11 @@ def profile(config, width=PROFILE_WIDTH):
         sizes.append((block, sum(t.size for _, t in p.named_tensors())))
         return out
 
-    memory_step = ssm.mamba_step if config.selective else ssm.causalconv_step
     line = T.Tensor(np.zeros((1, width, config.bands), dtype=np.float32))
     z = run("sfe", params.sfe, sfe_forward, line, params.sfe)
     for i, (naf, mem) in enumerate(params.clff):
         z = run(f"clff{i}.naf", naf, naf_forward, z, naf)
-        z, _ = run(f"clff{i}.mem", mem, memory_step, z, mem, ssm.MemoryState.fresh(mem, width))
+        z, _ = run(f"clff{i}.mem", mem, ssm.entry(mem), z, mem, ssm.MemoryState.fresh(mem, width))
     run("up", params.upsampler, upsample_line, z, params.upsampler)
     state = [(label, 4 * math.prod(shape))       # the stream state is float32
              for label, shape in StreamState.spec(config, width)]

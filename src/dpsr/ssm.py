@@ -2,14 +2,15 @@
 
 One block, one forward: `_forward` takes L >= 1 lines and the state left by
 the lines before them, and returns the L output lines plus the state after
-them. Its public entries are thin names for it with one signature,
-`(z, params, state)`: `*_scan` for training's whole-image forward (from a
-fresh state), `*_step` for a stream (a line or a chunk). They differ only
-by name, so that a tracer can keep the two callers apart. Folding the step
-over a sequence and running the scan over it share every operation, which
-makes line-by-line inference exact rather than an approximation. In 32-bit
-the two may still differ by rounding, since the projections then run over
-L lines at once.
+them. `entry(params, whole)` picks the name a caller runs it under, one
+per memory kind and caller, all with the signature `(z, params, state)`:
+`mamba_scan` / `causalconv_scan` for training's whole-image forward (from
+a fresh state), `mamba_step` / `causalconv_step` for a stream (a line or a
+chunk). They differ only by name, so that a tracer can keep the kinds and
+the two callers apart. Folding the step over a sequence and running the
+scan over it share every operation, which makes line-by-line inference
+exact rather than an approximation. In 32-bit the two may still differ by
+rounding, since the projections then run over L lines at once.
 
 The SSM recurrence itself is one op, `tensor.selective_scan`, for any L:
 it advances the latent with in-place array updates rather than a chain of
@@ -141,10 +142,14 @@ def _forward(z, p, s):
     return out, MemoryState(conv_tail=tail, h=h)
 
 
-# One entry pair per memory kind and caller, so that tracers can tell the
-# kinds and the two workloads apart: the whole-image forward enters by
-# `*_scan`, a stream by `*_step`. All four run the one `_forward`, and the
-# params decide whether the SSM runs.
+def entry(params, whole=False):
+    """The name `params`' kind runs under: `*_scan` for the whole-image forward
+    (`whole`), else `*_step`. Looked up at call time, so a wrapper installed
+    over a name is the one returned."""
+    if whole:
+        return mamba_scan if params.selective else causalconv_scan
+    return mamba_step if params.selective else causalconv_step
+
 
 def mamba_step(z, p, s):
     """(.., W, F) lines after state `s` through the selective block, plus the next state."""

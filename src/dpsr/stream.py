@@ -1,5 +1,8 @@
 """Pushbroom streaming harness: feed lines, time each step, audit state.
 
+The report keeps one (latency, state bytes) row per line, priming line
+first; everything it prints and writes is read from those rows.
+
 Memory is audited as the bytes of the recurrent state's arrays after each
 line (`StreamState.nbytes()`), not by OS measurement; the constant-in-H
 property is about state size, and allocator overhead would only blur it.
@@ -24,16 +27,22 @@ PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
 @dataclass
 class StreamReport:
     budget_ms: float
-    first_line_ms: float
-    latencies_ms: list = field(default_factory=list)   # lines 1..H-1
-    state_bytes_per_line: list = field(default_factory=list)
+    rows: list = field(default_factory=list)   # (latency_ms, state_bytes) per line, from 0
 
     def __post_init__(self):
         check_positive("budget_ms", self.budget_ms)
 
     @property
     def lines_processed(self):
-        return len(self.latencies_ms) + 1
+        return len(self.rows)
+
+    @property
+    def first_line_ms(self):
+        return self.rows[0][0] if self.rows else 0.0
+
+    @property
+    def latencies_ms(self):
+        return [ms for ms, _ in self.rows[1:]]     # lines 1..H-1, which emit output
 
     @property
     def mean_ms(self):
@@ -49,7 +58,7 @@ class StreamReport:
 
     @property
     def state_bytes(self):
-        return self.state_bytes_per_line[-1] if self.state_bytes_per_line else 0
+        return self.rows[-1][1] if self.rows else 0
 
     @property
     def late_lines(self):
@@ -68,7 +77,7 @@ class StreamReport:
         return late
 
     def table(self):
-        rows = [
+        items = [
             ("lines processed", f"{self.lines_processed}"),
             ("budget", f"{self.budget_ms:.3f} ms/line"),
             ("first line (priming)", f"{self.first_line_ms:.3f} ms"),
@@ -78,16 +87,14 @@ class StreamReport:
             ("late lines", f"{self.late_lines}"),
             ("state memory", f"{self.state_bytes:,} B"),
         ]
-        width = max(len(k) for k, _ in rows)
-        return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+        width = max(len(k) for k, _ in items)
+        return "\n".join(f"{k:<{width}}  {v}" for k, v in items)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("line_index,latency_ms,state_bytes\n")
-            fh.write(f"0,{self.first_line_ms:.6f},{self.state_bytes_per_line[0]}\n")
-            for i, (lat, sb) in enumerate(zip(self.latencies_ms,
-                                              self.state_bytes_per_line[1:]), start=1):
-                fh.write(f"{i},{lat:.6f},{sb}\n")
+            for i, (ms, nbytes) in enumerate(self.rows):
+                fh.write(f"{i},{ms:.6f},{nbytes}\n")
 
 
 def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
@@ -96,7 +103,7 @@ def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
     if cube_lr.bands != cfg.bands:
         raise ContractError(
             f"cube has {cube_lr.bands} bands, model expects {cfg.bands}")
-    report = StreamReport(budget_ms=budget_ms, first_line_ms=0.0)
+    report = StreamReport(budget_ms=budget_ms)
     if cube_lr.height < 2:
         raise ContractError("streaming needs at least 2 lines")
 
@@ -107,12 +114,8 @@ def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
     for y in range(cube_lr.height):
         t0 = time.perf_counter()
         sr, state = dpsr_step(cube_lr.line(y), params, state)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        if y == 0:
-            report.first_line_ms = elapsed_ms
-        else:
-            report.latencies_ms.append(elapsed_ms)
+        report.rows.append(((time.perf_counter() - t0) * 1e3, state.nbytes()))
+        if y:      # the priming line emits nothing
             out[(y - 1) * cfg.scale: y * cfg.scale] = sr
-        report.state_bytes_per_line.append(state.nbytes())
 
     return HsiCube(data=out, band_valid=cube_lr.band_valid.copy()), report

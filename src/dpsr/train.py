@@ -6,14 +6,13 @@ with the same seed produce identical logs.
 """
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .dataio import HsiCube, bicubic_downsample, dihedral_views, extract_patches
-from .errors import ContractError, NumericError, positive_int, seed_int
+from .errors import ContractError, NumericError, check_non_negative, positive_int, seed_int
 from .metrics import SSIM_WINDOW, evaluate
 from .model import DpsrParams, dpsr_forward_image
 from .tensor import Tape, Tensor
@@ -37,11 +36,8 @@ class TrainConfig:
     patience: int = 10        # evaluations without val improvement before stopping
 
     def __post_init__(self):
-        # lr == 0 is allowed for no-op sanity runs; NaN fails the comparison too
-        for name in ("lr", "alpha_s", "alpha_g"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ContractError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("lr", "alpha_s", "alpha_g"):   # lr 0 is a no-op sanity run
+            check_non_negative(name, getattr(self, name))
         for name in ("batch_size", "max_steps", "patch", "eval_every", "patience"):
             setattr(self, name, positive_int(name, getattr(self, name)))
         self.seed = seed_int(self.seed)

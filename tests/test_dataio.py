@@ -231,6 +231,7 @@ def test_extract_patches_tiles_row_major_and_drops_the_remainder():
     ((0, 0, 8, 3), "height"), ((0, 2.5, 8, 3), "height"),
     ((0, 8, 0, 3), "width"), ((0, 8, 8, 0), "bands"),
     ((0, 8, 8, 3, float("nan")), "smoothness"), ((0, 8, 8, 3, -1.0), "smoothness"),
+    ((0, 8, 8, 3, "3"), "smoothness"),
 ], ids=lambda v: repr(v) if isinstance(v, tuple) else v)
 def test_make_synthetic_names_each_bad_argument(args, name):
     # at sizes of 0 or 2.5 NumPy raised ZeroDivisionError or TypeError
@@ -241,3 +242,10 @@ def test_make_synthetic_names_each_bad_argument(args, name):
 def test_make_synthetic_takes_integral_floats_as_ints():
     got = make_synthetic(3.0, 8.0, 6.0, 3.0).data
     assert got.tobytes() == make_synthetic(3, 8, 6, 3).data.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 3), (4, 0, 3), (4, 4, 0)])
+def test_an_empty_cube_is_rejected_before_it_can_be_written(shape):
+    # write_cube wrote these, and read_cube refused the file with FormatError
+    with pytest.raises(ContractError, match="non-empty"):
+        HsiCube(np.zeros(shape))

@@ -1,14 +1,18 @@
 """Model-level contracts: the frozen DPSRW001 container and exact streaming."""
 
+import collections
+import dataclasses
 import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from dpsr import ssm
 from dpsr.errors import ContractError, FormatError, NumericError
-from dpsr.model import (MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams, _record_bytes,
-                        dpsr_forward_image, dpsr_step, load_params, save_params)
+from dpsr.model import (HEADER_FIELDS, MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams,
+                        _record_bytes, dpsr_forward_image, dpsr_step, load_params, save_params)
+from dpsr.profiler import profile
 
 # sha256 and size of the seed-0 container of the small config below. Any
 # change to the parameter declarations, their order or the seeded draws
@@ -289,3 +293,29 @@ def test_an_integral_float_config_size_passes_as_int():
     assert (cfg.bands, cfg.features) == (2, 8)
     assert type(cfg.bands) is int and type(cfg.features) is int
     assert cfg == DpsrConfig(bands=2, features=8)
+
+
+def test_the_container_header_holds_every_config_field():
+    # a field left out would load back at its default
+    assert sorted(HEADER_FIELDS) == sorted(f.name for f in dataclasses.fields(DpsrConfig))
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_each_caller_enters_the_memory_by_its_kind_and_role(monkeypatch, kind):
+    calls = collections.Counter()
+    for name in ("mamba_step", "causalconv_step", "mamba_scan", "causalconv_scan"):
+        def count(*args, name=name, real=getattr(ssm, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ssm, name, count)
+    cfg = small_config(kind)
+    params = DpsrParams.init(cfg, seed=0)
+    cube = np.random.default_rng(5).random((3, 5, 4)).astype(np.float32)
+    dpsr_forward_image(cube, params)
+    assert calls == {f"{kind}_scan": cfg.n_clff}
+    calls.clear()
+    dpsr_step(cube, params, None)
+    assert calls == {f"{kind}_step": cfg.n_clff}
+    calls.clear()
+    profile(cfg, 5)
+    assert calls == {f"{kind}_step": cfg.n_clff}

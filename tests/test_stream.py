@@ -29,15 +29,14 @@ def test_state_accounting_matches_real_state_and_is_constant(kind, kernel_lines)
         sizes[y] = state.nbytes()
     assert sizes[2] == sizes[20] == expected
     # (K-1) conv tail lines per block, plus the latent when selective
-    per_block = (cfg.kernel_lines - 1) * width * cfg.inner * 4
+    per_block = (cfg.kernel_lines - 1) * width * cfg.expand * cfg.features * 4
     if kind == "mamba":
-        per_block += width * cfg.inner * cfg.state_size * 4
+        per_block += width * cfg.expand * cfg.features * cfg.state_size * 4
     assert expected == cfg.n_clff * per_block + width * cfg.bands * 4
 
 
 def report(first_ms, latencies_ms, budget_ms=2.0):
-    return StreamReport(budget_ms=budget_ms, first_line_ms=first_ms,
-                        latencies_ms=list(latencies_ms))
+    return StreamReport(budget_ms=budget_ms, rows=[(ms, 0) for ms in [first_ms, *latencies_ms]])
 
 
 def test_backlog_makes_fast_lines_late():
@@ -108,3 +107,12 @@ def test_stream_report_csv_has_one_row_per_line_and_constant_state(timed_stream,
     assert [int(c[0]) for c in cells] == list(range(len(LINE_MS)))
     assert [float(c[1]) for c in cells] == pytest.approx(LINE_MS)
     assert {int(c[2]) for c in cells} == {profile(cfg, 5).state_bytes}
+
+
+def test_a_hand_built_report_writes_one_csv_row_per_line(tmp_path):
+    # with the priming line and the state kept apart, this wrote 1 row or raised IndexError
+    rep = StreamReport(budget_ms=1.0, rows=[(0.5, 5), (1.0, 5), (2.0, 5)])
+    assert "lines processed       3\n" in rep.table()
+    rep.write_csv(tmp_path / "lines.csv")
+    assert (tmp_path / "lines.csv").read_text().splitlines() == [
+        "line_index,latency_ms,state_bytes", "0,0.500000,5", "1,1.000000,5", "2,2.000000,5"]

@@ -135,6 +135,16 @@ def test_train_config_seed_must_be_a_non_negative_integer(seed):
         train.TrainConfig(seed=seed)
 
 
+@pytest.mark.parametrize("name", ["lr", "alpha_s", "alpha_g"])
+@pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf"), -1e-3],
+                         ids=repr)
+def test_train_config_rates_must_be_finite_non_negative_numbers(name, value):
+    # "0.1" and None raised TypeError from the comparison
+    with pytest.raises(ContractError, match=f"{name} must be finite and >= 0"):
+        train.TrainConfig(**{name: value})
+    assert getattr(train.TrainConfig(**{name: 0}), name) == 0
+
+
 def test_an_integral_float_seed_passes_as_int():
     seed = train.TrainConfig(seed=3.0).seed
     assert seed == 3 and type(seed) is int
