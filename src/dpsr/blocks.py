@@ -5,14 +5,18 @@ accept either one line (W, channels) or a whole stack of lines
 (H, W, channels); the line axis is always -2 and channels are last.
 
 The upsampler has two exact forms of one function. The separate form runs
-the declared steps: a 3-tap expand conv F -> f*r^2, the pixel shuffle and a
-3-tap restore conv f -> C. The composed form runs them as one 5-tap conv
-F -> r^2*C, less two border terms where the restore conv's zero padding
-hides an expand output. `upsample_line` takes the composed form when
-5*C*F < 3*f*(F + C), the rule on FLOPs per low-res pixel in `composes`;
-the full-size model (F=280, f=64, C=66) streams through the separate form
-and a narrow training config (F=32, f=64, C=16) takes the composed one.
+the declared steps as a 3-tap expand conv F -> f*r^2 and `restore_conv`,
+one op that reads the expand output as pixel-shuffled high-res pixels in
+place and applies the 3-tap restore conv f -> C. The composed form runs
+them as one 5-tap conv F -> r^2*C, less two border terms where the restore
+conv's zero padding hides an expand output. `upsample_line` takes the
+composed form when 5*C*F < 3*f*(F + C), the rule on FLOPs per low-res
+pixel in `composes`; the full-size model (F=280, f=64, C=66) streams
+through the separate form and a narrow training config (F=32, f=64, C=16)
+takes the composed one.
 """
+
+import math
 
 import numpy as np
 
@@ -158,7 +162,8 @@ def naf_forward(z, p):
 
 
 class UpsamplerParams(ParamSet):
-    """Channel expansion to f*r^2, 1D pixel shuffle, per-line restore conv.
+    """Channel expansion to f*r^2, 1D pixel shuffle, per-line restore conv
+    (the shuffle order is frozen; see `restore_conv`).
 
     Dims: (features, up_features, scale, bands).
     """
@@ -186,7 +191,8 @@ def composes(features, up_features, bands):
     """True when the upsampler runs as one composed 5-tap conv.
 
     Per low-res pixel the composed conv F -> r^2*C costs 10*r^2*C*F FLOPs and
-    the separate pair F -> r^2*f -> C costs 6*r^2*f*(F + C); r and W cancel,
+    the separate form, the expand conv F -> r^2*f and `restore_conv`'s
+    f -> C over the r^2 high-res pixels, costs 6*r^2*f*(F + C); r and W cancel,
     so the choice depends on the channel widths alone.
 
     The rule leaves out the composed form's weight build, paid once per
@@ -198,45 +204,82 @@ def composes(features, up_features, bands):
     return 5 * bands * features < 3 * up_features * (features + bands)
 
 
-def pixel_shuffle_line(x, scale, up_features):
-    """Rearrange (.., W, f*r^2) -> (.., r, r*W, f).
-
-    Channel q = (a*r + b)*f + c at low-res column j lands on output line a,
-    output column j*r + b, feature c. This ordering is frozen; the model
-    container format depends on it.
-    """
-    r, f = scale, up_features
-    w = x.shape[-2]
-    lead = x.shape[:-2]
-    n = len(lead)
-    t = T.reshape(x, lead + (w, r, r, f))            # (.., j, a, b, c)
-    perm = tuple(range(n)) + (n + 1, n, n + 2, n + 3)
-    t = T.transpose(t, perm)                         # (.., a, j, b, c)
-    return T.reshape(t, lead + (r, w * r, f))
-
-
-def upsample_separate(x, p):
-    """The upsampler as its three declared steps: expand, shuffle, restore."""
-    t = T.conv1d(x, p.expand_w, p.expand_b)
-    t = pixel_shuffle_line(t, p.scale, p.up_features)
-    return T.conv1d(t, p.restore_w, p.restore_b)
-
-
 # Restore tap t reads high-res column j*r + b + t - 1, which is expand
 # sub-pixel b' = (b + t - 1) mod r of low-res column j + d, d the floor of
-# (b + t - 1) / r. Per tap, (t, output sub-pixels b, their b', composite
-# taps d + s + 1 for expand taps s = 0, 1, 2), covering every (t, b') once.
-_RESTORE_TAPS = [
-    (1, np.s_[:], np.s_[:], np.s_[1:4]),
-    (0, np.s_[1:], np.s_[:-1], np.s_[1:4]),
-    (0, np.s_[:1], np.s_[-1:], np.s_[0:3]),      # d = -1
-    (2, np.s_[:-1], np.s_[1:], np.s_[1:4]),
-    (2, np.s_[-1:], np.s_[:1], np.s_[2:5]),      # d = +1
-]
+# (b + t - 1) / r. Per tap t, (output sub-pixels b, their b', d), covering
+# every (t, b') once; both upsampler forms follow it.
+_RESTORE_TAPS = {
+    1: [(np.s_[:], np.s_[:], 0)],
+    0: [(np.s_[1:], np.s_[:-1], 0), (np.s_[:1], np.s_[-1:], -1)],
+    2: [(np.s_[:-1], np.s_[1:], 0), (np.s_[-1:], np.s_[:1], 1)],
+}
+# (output columns j, the columns j + d they read) for each d of the table
+_COLUMN_SHIFT = {0: (np.s_[:], np.s_[:]), -1: (np.s_[1:], np.s_[:-1]),
+                 1: (np.s_[:-1], np.s_[1:])}
 # The two reads of the composite that fall on the restore conv's padding, as
 # (low-res column j, sub-pixel b, restore tap t, sub-pixel b', expand tap s):
 # the only expand tap of column -1 or W that reaches an input column.
 _BORDERS = [(0, 0, 0, -1, 2), (-1, -1, 2, 0, 0)]
+
+
+def restore_conv(x, p):
+    """Pixel shuffle and the 3-tap restore conv f -> C, as one tape op.
+
+    (.., W, f*r^2) expand output -> (.., r, r*W, C). Expand channel
+    q = (a*r + b)*f + c at low-res column j is high-res line a, column
+    j*r + b, feature c. This ordering is frozen; the model container
+    format depends on it.
+
+    So the expand output's rows, read as (.., j, a, b) by f, already are the
+    high-res pixels in low-res order, and they are never copied. Each
+    restore tap is one GEMM over those rows into one reused (.., j, a, b',
+    C) buffer, which `_RESTORE_TAPS` adds into the output, laid out (.., a,
+    j, b, C), shifted by a sub-pixel and, at b = 0 or r-1, by a low-res
+    column. The backward runs the same three GEMMs the other way: per tap,
+    the output gradient shifted back into the buffer's order, times the tap
+    for the rows' gradient, and against the rows for the tap's weight.
+    """
+    _, f, r, c = p.dims
+    xd = x.data
+    w = xd.shape[-2]
+    n = math.prod(xd.shape[:-2])
+    rows = xd.reshape(-1, f)                                        # (n, j, a, b') by f
+    wt = np.ascontiguousarray(p.restore_w.data.transpose(2, 1, 0))  # (t, f, C)
+    buf = np.empty((len(rows), c), dtype=np.result_type(xd, wt))
+    prod = buf.reshape(n, w, r, r, c).transpose(0, 2, 1, 3, 4)     # (n, a, j, b', C)
+    y = np.empty((n, r, w, r, c), dtype=buf.dtype)                 # (n, a, j, b, C)
+    y[...] = p.restore_b.data
+    for t, shifts in _RESTORE_TAPS.items():
+        np.matmul(rows, wt[t], out=buf)
+        for b, bs, d in shifts:
+            jd, js = _COLUMN_SHIFT[d]
+            y[:, :, jd, b] += prod[:, :, js, bs]
+    T.count("conv1d", 2 * len(rows) * p.restore_w.size)
+    T.count("bias", y.size)
+    out = Tensor(y.reshape(xd.shape[:-2] + (r, r * w, c)))
+
+    def fn(g):
+        g5 = g.reshape(n, r, w, r, c)
+        gbuf = np.empty((len(rows), c), dtype=g.dtype)     # g is never written: it is shared
+        gprod = gbuf.reshape(n, w, r, r, c).transpose(0, 2, 1, 3, 4)
+        gx = np.zeros(rows.shape, dtype=g.dtype)
+        gw = np.empty((len(wt), c, f), dtype=g.dtype)      # (t, C, f)
+        for t, shifts in _RESTORE_TAPS.items():
+            gbuf.fill(0)
+            for b, bs, d in shifts:
+                jd, js = _COLUMN_SHIFT[d]
+                gprod[:, :, js, bs] = g5[:, :, jd, b]
+            gx += gbuf @ wt[t].T
+            np.matmul(gbuf.T, rows, out=gw[t])
+        return (gx.reshape(xd.shape), np.ascontiguousarray(gw.transpose(1, 2, 0)),
+                g.reshape(-1, c).sum(axis=0))
+
+    return T.record(out, (x, p.restore_w, p.restore_b), fn)
+
+
+def upsample_separate(x, p):
+    """The upsampler as its declared steps: the expand conv, then `restore_conv`."""
+    return restore_conv(T.conv1d(x, p.expand_w, p.expand_b), p)
 
 
 def upsample_composed(x, p):
@@ -273,9 +316,10 @@ def upsample_composed(x, p):
     zb = zx[..., nz:].reshape(3, c, r, r).transpose(0, 2, 3, 1)             # (t, a, b', o)
     wc = np.zeros((r, r, c, fin, 5), dtype=zx.dtype)                    # (a, b, o, i, m)
     bc = np.broadcast_to(p.restore_b.data, (r, r, c)).copy()
-    for t, b, bs, m in _RESTORE_TAPS:
-        wc[:, b, ..., m] += z[t, :, bs]
-        bc[:, b] += zb[t, :, bs]
+    for t, shifts in _RESTORE_TAPS.items():
+        for b, bs, d in shifts:
+            wc[:, b, ..., d + 1:d + 4] += z[t, :, bs]
+            bc[:, b] += zb[t, :, bs]
     T.count("composite_weight", 2 * zx.size * f + z.size + zb.size)   # paid once per call
     wc = wc.reshape(r * r * c, fin, 5)
     borders = [(j, b, t, bs, s, z[t, :, bs, ..., s].reshape(r * c, fin))
@@ -298,9 +342,10 @@ def upsample_composed(x, p):
         gbc = g2.sum(axis=0).reshape(r, r, c)
         gz = np.empty(z.shape, dtype=gwc.dtype)
         gzb = np.empty(zb.shape, dtype=gwc.dtype)
-        for t, b, bs, m in _RESTORE_TAPS:
-            gz[t, :, bs] = gwc[:, b, ..., m]
-            gzb[t, :, bs] = gbc[:, b]
+        for t, shifts in _RESTORE_TAPS.items():
+            for b, bs, d in shifts:
+                gz[t, :, bs] = gwc[:, b, ..., d + 1:d + 4]
+                gzb[t, :, bs] = gbc[:, b]
         for j, _, t, bs, s, ew in borders:
             ge = g[:, :, j].reshape(n, r * c)       # high-res column j*r + b is 0 or r*W-1
             gx[:, j] -= ge @ ew
@@ -323,7 +368,8 @@ def upsample_line(x, p):
     Runs `upsample_composed`, one 5-tap conv less the border terms at the
     line's first and last high-res column, when `composes` says it does
     fewer FLOPs than `upsample_separate` (5*C*F < 3*f*(F + C)); otherwise
-    the expand conv, pixel shuffle and restore conv. The rule reads channel
+    the expand conv and `restore_conv`, the pixel shuffle and restore conv
+    as one op over the expand output in place. The rule reads channel
     widths only, so a config takes the same form streaming and training;
     it counts FLOPs per pixel and not the composite weight build of each
     call, so a narrow streamed line can take the costlier form (see

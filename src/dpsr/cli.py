@@ -3,7 +3,9 @@
 Subcommands: make-synth, degrade, train, sr-stream, eval, profile.
 `make-synth`, `degrade`, `train` and `sr-stream --out` drop a manifest next
 to their outputs with the resolved configuration, so results can be
-reproduced from the artifacts alone. `sr-stream` without `--out` is the
+reproduced from the artifacts alone. `sr-stream --out` writes the SR cube
+line by line as the stream runs, and removes it if the run fails; so
+neither form holds a cube in memory. `sr-stream` without `--out` is the
 onboard replay: it prints the timing and the lines that finish after the
 next acquisition at one line per `--budget-ms`, but writes no cube and no
 manifest.
@@ -21,13 +23,15 @@ restates none of its rules.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 import time
 
-from .dataio import SYNTH_SMOOTHNESS, bicubic_downsample, make_synthetic, read_cube, write_cube
+from .dataio import (SYNTH_SMOOTHNESS, CubeReader, CubeWriter, bicubic_downsample,
+                     make_synthetic, read_cube, write_cube)
 from .errors import ConfigError, ContractError, NumericError, check_positive
 from .metrics import EvalReport, evaluate
 from .model import MEMORY_KINDS, DpsrConfig, load_params, save_params
@@ -168,12 +172,17 @@ def cmd_train(args):
 def cmd_sr_stream(args):
     check_positive("budget_ms", args.budget_ms)
     params = load_params(args.model)
-    cube = read_cube(args.input)
-    sr, report = run_stream(cube, params, budget_ms=args.budget_ms)
+    with contextlib.ExitStack() as stack:
+        lr = stack.enter_context(CubeReader(args.input))    # a truncated file fails here
+        sink = None
+        if args.output:     # the cube is written line by line, and removed if the run fails
+            r = params.config.scale
+            sink = stack.enter_context(CubeWriter(
+                args.output, ((lr.height - 1) * r, lr.width * r, lr.bands), lr.band_valid)).write
+        report = run_stream(lr, params, sink=sink, budget_ms=args.budget_ms)
     if args.report:
         report.write_csv(args.report)
     if args.output:
-        write_cube(sr, args.output)
         write_manifest(os.path.dirname(os.path.abspath(args.output)), "sr-stream",
                        {"budget_ms": args.budget_ms},
                        inputs=[args.model, args.input],

@@ -6,13 +6,15 @@ each band, W samples — one acquisition line is one contiguous record, the
 natural unit for a pushbroom stream.
 """
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ContractError, FormatError, check_non_negative, check_size, positive_int,
-                     read_exact, seed_int)
+from .errors import (ContractError, FormatError, ShapeError, check_non_negative, check_size,
+                     positive_int, read_exact, read_into, seed_int)
 
 CUBE_MAGIC = b"HSC1"
 CUBE_VERSION = 1
@@ -52,27 +54,26 @@ class HsiCube:
         return self.data[y]
 
 
-def write_cube(cube, path):
-    """Write the header, then one (C, W) `<f4` record per line."""
-    h, w, c = cube.data.shape
-    flags = _FLAG_MASK if not cube.band_valid.all() else 0
-    record = np.empty((c, w), dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(CUBE_MAGIC)
-        fh.write(struct.pack("<H", CUBE_VERSION))
-        fh.write(struct.pack("<3I", h, w, c))
-        fh.write(struct.pack("<B", flags))
-        if flags & _FLAG_MASK:
-            fh.write(cube.band_valid.astype(np.uint8).tobytes())
-        for line in cube.data:
-            record[...] = line.T
-            fh.write(record)
+class CubeReader:
+    """An open `HSC1` file, read one acquisition line at a time.
 
+    Opening checks the header, and that the file holds exactly the records
+    the header declares, so a truncated file fails before any line is read.
+    Iterating yields each line as a new (W, C) float32 array, first line
+    first, from one reused (C, W) record buffer. Use it as a context
+    manager, which closes the file.
+    """
 
-def read_cube(path):
-    """Check the header and the file size, then read one (C, W) record per
-    line into a reused buffer and copy it, transposed, into the cube."""
-    with open(path, "rb") as fh:
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_header(self):
+        fh = self._fh
         magic = read_exact(fh, 4, "magic")
         if magic != CUBE_MAGIC:
             raise FormatError(f"bad magic {magic!r}; not a cube file")
@@ -85,21 +86,102 @@ def read_cube(path):
         flags, = struct.unpack("<B", read_exact(fh, 1, "flags"))
         if flags & ~_FLAG_MASK:
             raise FormatError(f"unknown cube flags 0x{flags:02x}")
-        check_size(fh, (c if flags else 0) + 4 * h * w * c, "cube header")
-        band_valid = np.ones(c, dtype=bool)
-        if flags:   # HsiCube reads the 0/1 bytes as bools
-            band_valid = np.frombuffer(read_exact(fh, c, "band mask"), dtype=np.uint8)
-            if (band_valid > 1).any():
-                raise FormatError("band mask bytes must be 0 or 1")
-        data = np.empty((h, w, c), dtype=np.float32)
-        record = np.empty((c, w), dtype="<f4")
-        for line in data:
-            if fh.readinto(record) != record.nbytes:
-                raise FormatError("truncated file while reading the payload")
-            line[...] = record.T
-        if fh.read(1):
+        need = (c if flags else 0) + 4 * h * w * c
+        check_size(fh, need, "cube header")
+        if os.fstat(fh.fileno()).st_size - fh.tell() > need:
             raise FormatError("trailing bytes after the payload")
-    return HsiCube(data=data, band_valid=band_valid)
+        band_valid = np.ones(c, dtype=bool)
+        if flags:
+            mask = np.frombuffer(read_exact(fh, c, "band mask"), dtype=np.uint8)
+            if (mask > 1).any():
+                raise FormatError("band mask bytes must be 0 or 1")
+            band_valid = mask.astype(bool)
+        self.height, self.width, self.bands = h, w, c
+        self.band_valid = band_valid
+
+    def __iter__(self):
+        record = np.empty((self.bands, self.width), dtype="<f4")
+        for _ in range(self.height):
+            read_into(self._fh, record, "the payload")
+            yield record.T.astype(np.float32, order="C")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class CubeWriter:
+    """Writes an `HSC1` file of a known (H, W, C) shape, lines as they come.
+
+    Opening writes the header, so the height is fixed before the first
+    line; `write` appends a (W, C) line or a (k, W, C) block of lines as
+    (C, W) `<f4` records. Use it as a context manager: leaving the `with`
+    block by an exception, or with fewer lines written than the header
+    declares, removes the file (a regular file; a device is left as it
+    is), so a failed run leaves no complete-looking cube behind.
+    """
+
+    def __init__(self, path, shape, band_valid=None):
+        h, w, c = (positive_int(name, n) for name, n in zip(("height", "width", "bands"), shape))
+        valid = np.ones(c, dtype=bool) if band_valid is None else np.asarray(band_valid, bool)
+        if valid.shape != (c,):
+            raise ContractError("band_valid length must equal the band count")
+        self.path, self.shape, self.lines_written = path, (h, w, c), 0
+        self._record = np.empty((c, w), dtype="<f4")
+        flags = _FLAG_MASK if not valid.all() else 0
+        self._fh = open(path, "wb")
+        try:
+            self._fh.write(CUBE_MAGIC + struct.pack("<H3IB", CUBE_VERSION, h, w, c, flags))
+            if flags:
+                self._fh.write(valid.astype(np.uint8).tobytes())
+        except BaseException as e:
+            self.__exit__(type(e), e, None)
+            raise
+
+    def write(self, lines):
+        lines = np.asarray(lines)
+        h, w, c = self.shape
+        if lines.ndim not in (2, 3) or lines.shape[-2:] != (w, c):
+            raise ShapeError(f"cube writer: expected ({w}, {c}) lines, got {lines.shape}")
+        block = lines.reshape(-1, w, c)
+        if self.lines_written + len(block) > h:
+            raise ContractError(f"cube writer: more than the {h} lines the header declares")
+        for line in block:
+            self._record[...] = line.T
+            self._fh.write(self._record)
+        self.lines_written += len(block)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        regular = stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode)
+        self._fh.close()
+        complete = self.lines_written == self.shape[0]
+        if exc_type is None and complete:
+            return
+        if regular:
+            os.remove(self.path)
+        if exc_type is None:
+            raise ContractError(f"cube writer: {self.lines_written} of the "
+                                f"{self.shape[0]} lines the header declares were written")
+
+
+def write_cube(cube, path):
+    """Write the header, then one (C, W) `<f4` record per line."""
+    with CubeWriter(path, cube.data.shape, cube.band_valid) as out:
+        out.write(cube.data)
+
+
+def read_cube(path):
+    """Check the header and the file size, then read the cube line by line."""
+    with CubeReader(path) as lines:
+        data = np.empty((lines.height, lines.width, lines.bands), dtype=np.float32)
+        for row, line in zip(data, lines):
+            row[...] = line
+    return HsiCube(data=data, band_valid=lines.band_valid)
 
 
 # ---------------------------------------------------------------------------

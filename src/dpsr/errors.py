@@ -11,7 +11,8 @@ the argument:
 - `positive_int`: an integer > 0, such as a size, count or factor;
 - `seed_int`: an integer >= 0, the seed of an RNG.
 The two integer rules return a Python int, and let an integral float such
-as 2.0 pass as 2; 2.5 fails rather than truncating.
+as 2.0 pass as 2; 2.5 fails rather than truncating. A bool fails every
+rule: it is a `numbers.Real`, but True is no size, rate or seed.
 """
 
 import math
@@ -43,16 +44,20 @@ class ConfigError(DpsrError):
     """A config file or key=value option could not be parsed."""
 
 
+def _number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(name, value):
     """ContractError unless `value` is a number > 0; NaN fails too, since
     NaN > 0 is false."""
-    if not (isinstance(value, numbers.Real) and value > 0):
+    if not (_number(value) and value > 0):
         raise ContractError(f"{name} must be > 0, got {value}")
 
 
 def check_non_negative(name, value):
     """ContractError unless `value` is a finite number >= 0."""
-    if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+    if not (_number(value) and 0 <= value < math.inf):
         raise ContractError(f"{name} must be finite and >= 0, got {value}")
 
 
@@ -93,3 +98,10 @@ def read_exact(fh, n, what):
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
     return buf
+
+
+def read_into(fh, array, what):
+    """Fill the C-contiguous `array` with its bytes from `fh`, with no second
+    copy; FormatError naming `what` if the file ends first."""
+    if fh.readinto(array) != array.nbytes:
+        raise FormatError(f"truncated file while reading {what}")

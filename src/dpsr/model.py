@@ -16,6 +16,7 @@ construction.
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import ssm, tensor as T
 from .blocks import (NafParams, SfeParams, UpsamplerParams, bilinear_two_line,
                      naf_forward, sfe_forward, upsample_line)
 from .errors import (ContractError, FormatError, NumericError, check_size, positive_int,
-                     read_exact)
+                     read_exact, read_into)
 from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
@@ -145,8 +146,17 @@ def init_stream(params, width, dtype=np.float32):
                             for _, mem in params.clff])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _first_bad_line(a):
-    """Index along axis 0 of the first slice holding a non-finite value, or None."""
+    """Index along axis 0 of the first slice holding a non-finite value, or None.
+
+    One float64 sum tests the whole array, and the bool mask is built only
+    when that sum is not finite: any NaN or inf reaches the sum, and float32
+    values cannot overflow it. A float64 sum that overflows falls back to
+    the mask.
+    """
+    if np.isfinite(np.add.reduce(a, axis=None, dtype=np.float64)):
+        return None
     finite = np.isfinite(a)
     if finite.all():
         return None
@@ -188,10 +198,15 @@ def _forward(x, params, state):
     primed = int(state.prev_line is None)      # a fresh stream's first line only primes
     if not primed:
         lines = np.concatenate([state.prev_line[None], lines])
-    out = Tensor(bilinear_two_line(lines[:-1], lines[1:], cfg.scale))
-    if len(out.data):                          # upsample only the lines whose output is kept
+    if len(lines) > 1:                         # upsample only the lines whose output is kept
         z = T.slice_axis(z, 0, 1, len(x.data)) if primed else z
-        out = T.add(upsample_line(z, params.upsampler), out)   # (L - primed, r, rW, C)
+        out = upsample_line(z, params.upsampler)               # (L - primed, r, rW, C)
+        # the base carries no gradient, and no upsampler backward reads its
+        # own output, so the base is added in place, once the upsampler's
+        # scratch is gone
+        out.data += bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
+    else:
+        out = Tensor(np.empty((0, cfg.scale, cfg.scale * x.shape[1], cfg.bands), x.dtype))
     row = _first_bad_line(out.data)
     if row is not None:
         raise NumericError(f"non-finite output at line {first + primed + row}")
@@ -303,8 +318,9 @@ def load_params(path):
             if shape != t.data.shape:
                 raise FormatError(
                     f"{name}: stored shape {shape} does not match config shape {t.data.shape}")
-            raw = read_exact(fh, 4 * t.data.size, f"{name} payload")
-            t.data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            read_into(fh, t.data, f"{name} payload")     # `<f4` on disk
+            if sys.byteorder == "big":
+                t.data.byteswap(inplace=True)
             if not np.isfinite(t.data).all():
                 raise FormatError(f"{name}: non-finite weight")
         if fh.read(1):

@@ -1,5 +1,10 @@
 """Pushbroom streaming harness: feed lines, time each step, audit state.
 
+A stream holds its recurrent state plus the line in flight: `run_stream`
+takes lines from any iterable (a `dataio.CubeReader` reads them from a
+file one record at a time) and hands each line's high-res output to a
+sink as it comes, so its memory does not grow with the image height.
+
 The report keeps one (latency, state bytes) row per line, priming line
 first; everything it prints and writes is read from those rows.
 
@@ -17,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import HsiCube
 from .errors import ContractError, check_positive
-from .model import dpsr_step, init_stream
+from .model import dpsr_step
 
 PRISMA_LINE_MS = 4.32          # VNIR line acquisition period
 
@@ -97,25 +101,21 @@ class StreamReport:
                 fh.write(f"{i},{ms:.6f},{nbytes}\n")
 
 
-def run_stream(cube_lr, params, budget_ms=PRISMA_LINE_MS):
-    """Super-resolve a cube line by line; returns (SR cube, report)."""
-    cfg = params.config
-    if cube_lr.bands != cfg.bands:
-        raise ContractError(
-            f"cube has {cube_lr.bands} bands, model expects {cfg.bands}")
+def run_stream(lines, params, sink=None, budget_ms=PRISMA_LINE_MS):
+    """Super-resolve an iterable of (W, C) low-res lines, one at a time.
+
+    Each line's r high-res lines go to `sink(block)` as they come, if a sink
+    is given, and are dropped otherwise; the stream holds its state and the
+    line in flight, never the input or the output cube. Returns the report.
+    """
     report = StreamReport(budget_ms=budget_ms)
-    if cube_lr.height < 2:
-        raise ContractError("streaming needs at least 2 lines")
-
-    state = init_stream(params, cube_lr.width)
-    out = np.empty(((cube_lr.height - 1) * cfg.scale,
-                    cube_lr.width * cfg.scale, cfg.bands), dtype=np.float32)
-
-    for y in range(cube_lr.height):
+    state = None
+    for line in lines:
         t0 = time.perf_counter()
-        sr, state = dpsr_step(cube_lr.line(y), params, state)
+        sr, state = dpsr_step(line, params, state)
         report.rows.append(((time.perf_counter() - t0) * 1e3, state.nbytes()))
-        if y:      # the priming line emits nothing
-            out[(y - 1) * cfg.scale: y * cfg.scale] = sr
-
-    return HsiCube(data=out, band_valid=cube_lr.band_valid.copy()), report
+        if sr is not None and sink is not None:
+            sink(sr)
+    if report.lines_processed < 2:
+        raise ContractError("streaming needs at least 2 lines")
+    return report

@@ -492,7 +492,8 @@ def causal_depthwise_conv(x, history, weight, bias=None):
     x[0], oldest first (zeros at the start of a sequence); weight: (C, K).
     Output line y sees lines y-K+1 .. y; weight[:, K-1] multiplies the
     newest line. Returns (y Tensor, next history): the last K-1 lines of
-    xp = concat(history, x), as an array; histories carry no gradient.
+    xp = concat(history, x), as an array of their own, so a stream keeps no
+    view into xp alive; histories carry no gradient.
     `_tap_sum` adds weight[:, j] * xp[j:j+H] to all H output lines.
     """
     c, k = weight.shape
@@ -510,7 +511,7 @@ def causal_depthwise_conv(x, history, weight, bias=None):
         gxp, gw = back(g)
         return gxp[k - 1:], gw
 
-    return _with_bias(y, x, weight, bias, back_x), xp[h:]
+    return _with_bias(y, x, weight, bias, back_x), xp[h:].copy()
 
 
 # selective_scan works on (columns, N, E) slabs of about this size, which

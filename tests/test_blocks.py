@@ -5,7 +5,7 @@ import pytest
 
 from dpsr import tensor as T
 from dpsr.blocks import (NafParams, SfeParams, UpsamplerParams,
-                         bilinear_two_line, composes, naf_forward, pixel_shuffle_line,
+                         bilinear_two_line, composes, naf_forward, restore_conv,
                          sfe_forward, upsample_composed, upsample_line,
                          upsample_separate)
 from dpsr.errors import ShapeError
@@ -188,6 +188,22 @@ def test_upsampler_shape_contract_full_size():
     assert out.shape == (4, 128, 202)
 
 
+def pixel_shuffle_line(x, scale, up_features):
+    """Reference shuffle (.., W, f*r^2) -> (.., r, r*W, f) in the frozen order.
+
+    Channel q = (a*r + b)*f + c at low-res column j lands on output line a,
+    output column j*r + b, feature c; `restore_conv` reads its input so.
+    """
+    r, f = scale, up_features
+    w = x.shape[-2]
+    lead = x.shape[:-2]
+    n = len(lead)
+    t = T.reshape(x, lead + (w, r, r, f))            # (.., j, a, b, c)
+    perm = tuple(range(n)) + (n + 1, n, n + 2, n + 3)
+    t = T.transpose(t, perm)                         # (.., a, j, b, c)
+    return T.reshape(t, lead + (r, w * r, f))
+
+
 def test_pixel_shuffle_enumeration():
     # every element lands where the index formula says, W=2, f=2, r=2
     w, r, f = 2, 2, 2
@@ -208,6 +224,49 @@ def test_pixel_shuffle_is_bijection():
         x = rng.standard_normal((w, r * r * f)).astype(np.float32)
         out = pixel_shuffle_line(Tensor(x), r, f).data
         assert sorted(out.ravel().tolist()) == sorted(x.ravel().tolist())
+
+
+@pytest.mark.parametrize("lines", [(), (1,), (3,)], ids=["one-line", "L1", "L3"])
+@pytest.mark.parametrize("width", [1, 2, 5])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_restore_conv_equals_shuffle_then_conv(r, width, lines):
+    # at W = 1 the gradient's (0, 2, 1, 3, 4) transpose is still contiguous, so a
+    # backward that wrote into a contiguous copy of it would corrupt the others
+    rng = np.random.default_rng(100 * r + 10 * width + len(lines))
+    f_in, f, c = 4, 6, 2
+    p = _composed_params(f_in, f, r, c, rng)
+    t = rng.standard_normal(lines + (width, r * r * f))
+    g = rng.standard_normal(lines + (r, r * width, c))
+
+    def reference(x, p):
+        return T.conv1d(pixel_shuffle_line(x, r, f), p.restore_w, p.restore_b)
+
+    ref = _forward_and_grads(reference, t, p, g)
+    got = _forward_and_grads(restore_conv, t, p, g)
+    # out, then the gradients of the op's three inputs: x, restore_w, restore_b
+    for name, i in [("out", 0), ("x", 1), ("restore_w", 4), ("restore_b", 5)]:
+        assert ref[i].shape == got[i].shape, name
+        assert np.max(np.abs(ref[i] - got[i])) <= 1e-12 * np.max(np.abs(ref[i])), name
+
+
+@pytest.mark.parametrize("form", [upsample_composed, upsample_separate])
+def test_no_upsampler_backward_reads_its_own_output(form):
+    # the model adds the bilinear base into the upsampler's output in place
+    rng = np.random.default_rng(21)
+    p = _composed_params(4, 6, 2, 3, rng)
+    x = rng.standard_normal((2, 3, 4))
+    g = rng.standard_normal((2, 2, 6, 3))
+    grads = []
+    for overwrite in (False, True):
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = form(xt, p)
+            loss = T.reduce_sum(T.mul(y, Tensor(g)))
+        if overwrite:
+            y.data[...] = rng.standard_normal(y.shape)
+        grads.append(tape.gradients(loss, [xt] + [t for _, t in p.named_tensors()]))
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)
 
 
 def _composed_params(f_in, f, r, c, rng):
@@ -259,8 +318,8 @@ def test_upsampler_form_follows_the_channel_rule():
     train, full = DpsrConfig(bands=16, features=32), DpsrConfig(bands=66)
     assert composes(train.features, train.up_features, train.bands)
     assert not composes(full.features, full.up_features, full.bands)
-    # composed is one tape node; separate is conv, shuffle (3 nodes), conv
-    for (f_in, f, c), nodes in [((32, 64, 16), 1), ((280, 64, 66), 5)]:
+    # composed is one tape node; separate is the expand conv and the restore op
+    for (f_in, f, c), nodes in [((32, 64, 16), 1), ((280, 64, 66), 2)]:
         p = UpsamplerParams.zeros(f_in, f, 2, c)
         with Tape() as tape:
             upsample_line(Tensor(np.zeros((2, f_in), dtype=np.float32)), p)

@@ -14,7 +14,7 @@ import pytest
 import dpsr
 from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, build_parser, main
 from dpsr.dataio import HsiCube, make_synthetic, write_cube
-from dpsr.model import DpsrConfig, DpsrParams, save_params
+from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step, load_params, save_params
 from dpsr.profiler import profile
 from dpsr.stream import PRISMA_LINE_MS
 
@@ -123,6 +123,73 @@ def test_sr_stream_rejects_non_positive_budget(files, tmp_path, budget):
 def test_sr_stream_rejects_a_non_finite_line(files, tmp_path, capsys, bad):
     assert main(["sr-stream", *files(bad), "--out", str(tmp_path / "sr.hsc")]) == EXIT_CONTRACT
     assert "non-finite input at line 3" in capsys.readouterr().err
+    # lines 1 and 2 were written before line 3 failed; the partial cube is gone
+    assert not (tmp_path / "sr.hsc").exists()
+
+
+def test_sr_stream_rejects_a_truncated_cube_before_the_first_line(files, tmp_path, capsys,
+                                                                  monkeypatch):
+    import dpsr.stream
+    steps = []
+    monkeypatch.setattr(dpsr.stream, "dpsr_step", lambda *a: steps.append(a))
+    argv = ["sr-stream", *files(), "--out", str(tmp_path / "sr.hsc")]
+    path = tmp_path / "lr.hsc"
+    path.write_bytes(path.read_bytes()[:-7])        # cut inside the last record
+    assert main(argv) == EXIT_CONTRACT
+    assert "truncated file" in capsys.readouterr().err
+    assert steps == [] and not (tmp_path / "sr.hsc").exists()
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_sr_stream_out_equals_the_stacked_steps(tmp_path, kind):
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4, memory_kind=kind)
+    save_params(DpsrParams.init(cfg, seed=0), tmp_path / "m.dpsrw")
+    data = np.random.default_rng(2).random((6, 5, 4)).astype(np.float32)
+    valid = [True, False, True, True]
+    write_cube(HsiCube(data=data, band_valid=valid), tmp_path / "lr.hsc")
+    assert main(["sr-stream", "--model", str(tmp_path / "m.dpsrw"), "--in",
+                 str(tmp_path / "lr.hsc"), "--out", str(tmp_path / "sr.hsc")]) == 0
+    params, state, blocks = load_params(tmp_path / "m.dpsrw"), None, []
+    for line in data:
+        sr, state = dpsr_step(line, params, state)
+        blocks += [] if sr is None else [sr]
+    write_cube(HsiCube(data=np.concatenate(blocks), band_valid=valid), tmp_path / "ref.hsc")
+    assert (tmp_path / "sr.hsc").read_bytes() == (tmp_path / "ref.hsc").read_bytes()
+
+
+# A child runs sr-stream through the CLI and prints its own peak RSS in kB:
+# VmHWM, the peak of its own address space. Its ru_maxrss would not do, since
+# Linux carries the parent's peak over through fork and exec.
+_PEAK_RSS = """
+import sys
+from dpsr.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+
+def test_sr_stream_memory_is_flat_in_the_height(tmp_path):
+    # W = 250 and 66 bands, as the full-size sensor: each LR line makes 1.06 MB
+    # of HR output, so a stream that held its output cube would peak about
+    # 127 MB higher at 160 lines than at 40; an F = 8 model keeps the lines cheap
+    cfg = DpsrConfig(bands=66, features=8, up_features=4, state_size=4)
+    save_params(DpsrParams.init(cfg, seed=0), tmp_path / "m.dpsrw")
+    env = dict(os.environ, PYTHONPATH=str(Path(dpsr.__file__).resolve().parents[1]))
+    peaks = {}
+    for lines in (40, 160):
+        lr = tmp_path / f"lr{lines}.hsc"
+        write_cube(make_synthetic(lines, lines, 250, 66), lr)
+        for out in ([], ["--out", str(tmp_path / "sr.hsc")]):
+            argv = ["sr-stream", "--model", str(tmp_path / "m.dpsrw"), "--in", str(lr), *out]
+            run = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                                 capture_output=True, text=True, timeout=300, check=True)
+            peaks[lines, bool(out)] = int(run.stdout.split()[-1]) / 1024
+            (tmp_path / "sr.hsc").unlink(missing_ok=True)
+    for out in (False, True):
+        assert abs(peaks[160, out] - peaks[40, out]) <= 10, peaks
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,10 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from dpsr.dataio import (HsiCube, augment8, bicubic_downsample, catmull_rom,
-                         dihedral_views, extract_patches, make_synthetic, read_cube,
-                         resample_matrix, write_cube)
-from dpsr.errors import ContractError, FormatError, positive_int
+from dpsr.dataio import (CubeReader, CubeWriter, HsiCube, augment8, bicubic_downsample,
+                         catmull_rom, dihedral_views, extract_patches, make_synthetic,
+                         read_cube, resample_matrix, write_cube)
+from dpsr.errors import ContractError, FormatError, ShapeError, positive_int
 
 
 def cube(shape=(5, 7, 3), seed=0, band_valid=None):
@@ -53,7 +53,7 @@ def test_cube_matches_a_struct_packed_bil_reference(tmp_path, band_valid):
     assert np.array_equal(got.band_valid, src.band_valid)
 
 
-@pytest.mark.parametrize("corrupt", [
+CORRUPTIONS = pytest.mark.parametrize("corrupt", [
     lambda b: b"HSC2" + b[4:],                       # bad magic
     lambda b: b[:4] + struct.pack("<H", 2) + b[6:],  # bad version
     lambda b: b[:-1],                                # truncated payload
@@ -66,12 +66,65 @@ def test_cube_matches_a_struct_packed_bil_reference(tmp_path, band_valid):
     lambda b: b[:19] + b"\x02" + b[20:],            # band-mask byte neither 0 nor 1
 ], ids=["magic", "version", "truncated", "truncated-header", "trailing", "huge-extents",
         "huge-bands", "empty-huge-bands", "unknown-flags", "mask-byte"])
+
+
+@CORRUPTIONS
 def test_corrupt_cube_raises_format_error(tmp_path, corrupt):
     path = tmp_path / "c.hsc"
     write_cube(cube(band_valid=[True, False, True]), path)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(FormatError):
         read_cube(path)
+
+
+@CORRUPTIONS
+def test_the_line_reader_rejects_a_corrupt_cube_before_any_line(tmp_path, corrupt):
+    # a stream must not run lines of a file that turns out truncated or too long
+    path = tmp_path / "c.hsc"
+    write_cube(cube(band_valid=[True, False, True]), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError):
+        CubeReader(path)
+
+
+def test_the_line_reader_and_writer_match_read_cube_and_write_cube(tmp_path):
+    src = cube(shape=(6, 7, 3), band_valid=[True, False, True])
+    write_cube(src, tmp_path / "whole.hsc")
+    with CubeWriter(tmp_path / "lines.hsc", src.data.shape, src.band_valid) as out:
+        out.write(src.data[0])                       # a line, then blocks of lines
+        out.write(src.data[1:3])
+        out.write(src.data[3:])
+    assert (tmp_path / "lines.hsc").read_bytes() == (tmp_path / "whole.hsc").read_bytes()
+    with CubeReader(tmp_path / "whole.hsc") as reader:
+        assert (reader.height, reader.width, reader.bands) == src.data.shape
+        assert np.array_equal(reader.band_valid, src.band_valid)
+        lines = list(reader)
+    assert all(line.dtype == np.float32 and line.flags.c_contiguous for line in lines)
+    assert not np.shares_memory(lines[0], lines[1])  # each line is its own array
+    assert np.array_equal(np.stack(lines), read_cube(tmp_path / "whole.hsc").data)
+
+
+def test_a_failed_or_short_write_leaves_no_cube(tmp_path):
+    path = tmp_path / "c.hsc"
+    with pytest.raises(ZeroDivisionError):
+        with CubeWriter(path, (4, 3, 2)) as out:
+            out.write(np.zeros((2, 3, 2)))
+            1 / 0
+    assert not path.exists()
+    with pytest.raises(ContractError, match="3 of the 4 lines"):
+        with CubeWriter(path, (4, 3, 2)) as out:
+            out.write(np.zeros((3, 3, 2)))
+    assert not path.exists()
+    with pytest.raises(ContractError, match="more than the 4 lines"):
+        with CubeWriter(path, (4, 3, 2)) as out:
+            out.write(np.zeros((5, 3, 2)))
+    with pytest.raises(ShapeError):
+        with CubeWriter(path, (4, 3, 2)) as out:
+            out.write(np.zeros((3, 3)))
+    assert not path.exists()
+    with pytest.raises(ContractError, match="height"):
+        CubeWriter(path, (0, 3, 2))
+    assert not path.exists()
 
 
 def _catmull_rom(t):

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from dpsr import ssm
 from dpsr.errors import ContractError, FormatError, NumericError
 from dpsr.model import (HEADER_FIELDS, MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams,
-                        _record_bytes, dpsr_forward_image, dpsr_step, load_params, save_params)
+                        _first_bad_line, _record_bytes, dpsr_forward_image, dpsr_step,
+                        load_params, save_params)
 from dpsr.profiler import profile
 
 # sha256 and size of the seed-0 container of the small config below. Any
@@ -226,6 +228,42 @@ def test_a_malformed_line_mid_stream_is_rejected_and_the_stream_goes_on(kind):
     assert np.array_equal(np.concatenate(out, axis=0), fold_steps(cube, params)[0])
 
 
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_a_streamed_line_allocates_little_beyond_its_state_and_output(kind):
+    # f = 16 <= C = 33 and 96 features take the separate upsampler. Besides the
+    # next state and the output, a line holds the expand output and the restore
+    # buffer (at most one output each, for f <= C) and a few (W, F) activations
+    # and NumPy iteration buffers, 128 KiB here
+    cfg = DpsrConfig(bands=33, features=96, up_features=16, memory_kind=kind)
+    params = DpsrParams.init(cfg, seed=0)
+    cube = np.random.default_rng(0).random((3, 64, cfg.bands)).astype(np.float32)
+    _, state = dpsr_step(cube[:2], params, None)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sr, state = dpsr_step(cube[2], params, state)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    slack = 2 * sr.nbytes + 128 * 1024
+    assert peak <= state.nbytes() + sr.nbytes + slack
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_finite_check_finds_the_first_bad_line_whatever_the_sum(dtype):
+    # the float64 sum of these overflows for float64 values, never for float32
+    a = np.full((4, 3), np.finfo(dtype).max, dtype=dtype)
+    assert _first_bad_line(a) is None
+    a[2, 1] = np.nan
+    assert _first_bad_line(a) == 2
+    a[1, 0] = -np.inf
+    assert _first_bad_line(a) == 1
+
+
 def test_upsampler_runs_only_on_lines_whose_output_is_kept(monkeypatch):
     import dpsr.model
     seen = []
@@ -281,7 +319,7 @@ def test_a_float32_line_passes_into_the_stream_uncopied(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("bands", 0), ("bands", 2.5), ("bands", float("nan")), ("bands", "4"), ("n_clff", 0),
-    ("ca_reduction", 1.5),
+    ("ca_reduction", 1.5), ("bands", True),
 ])
 def test_config_sizes_must_be_positive_integers(field, value):
     with pytest.raises(ContractError, match=field):

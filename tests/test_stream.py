@@ -61,7 +61,7 @@ def test_a_line_slower_than_the_budget_is_always_late():
         assert rep.late_lines >= sum(ms > rep.budget_ms for ms in rest)
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), True])
 def test_budget_must_be_positive(budget):
     with pytest.raises(ContractError):
         report(0.5, [1.0], budget)
@@ -83,12 +83,14 @@ def timed_stream(monkeypatch):
     monkeypatch.setattr(stream, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
     cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
     cube = HsiCube(data=np.random.default_rng(1).random((len(LINE_MS), 5, 4)))
-    return cfg, run_stream(cube, DpsrParams.init(cfg, seed=0), budget_ms=4.0)
+    blocks = []
+    rep = run_stream(cube.data, DpsrParams.init(cfg, seed=0), sink=blocks.append, budget_ms=4.0)
+    return cfg, (np.concatenate(blocks), rep)
 
 
 def test_stream_report_counts_lines_and_late_lines(timed_stream):
     cfg, (sr, rep) = timed_stream
-    assert sr.data.shape == ((len(LINE_MS) - 1) * cfg.scale, 5 * cfg.scale, 4)
+    assert sr.shape == ((len(LINE_MS) - 1) * cfg.scale, 5 * cfg.scale, 4)
     assert rep.lines_processed == len(LINE_MS)
     assert rep.first_line_ms == pytest.approx(LINE_MS[0])
     assert rep.latencies_ms == pytest.approx(LINE_MS[1:])

@@ -128,7 +128,7 @@ def test_train_config_sizes_must_be_integers(name):
     assert value == 16 and type(value) is int
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3"])
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3", False])
 def test_train_config_seed_must_be_a_non_negative_integer(seed):
     # 2.5 passed here and stopped fit in NumPy's TypeError
     with pytest.raises(ContractError, match="seed"):
@@ -136,7 +136,7 @@ def test_train_config_seed_must_be_a_non_negative_integer(seed):
 
 
 @pytest.mark.parametrize("name", ["lr", "alpha_s", "alpha_g"])
-@pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf"), -1e-3],
+@pytest.mark.parametrize("value", ["0.1", None, float("nan"), float("inf"), -1e-3, True],
                          ids=repr)
 def test_train_config_rates_must_be_finite_non_negative_numbers(name, value):
     # "0.1" and None raised TypeError from the comparison
