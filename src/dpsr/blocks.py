@@ -9,11 +9,11 @@ the declared steps as a 3-tap expand conv F -> f*r^2 and `restore_conv`,
 one op that reads the expand output as pixel-shuffled high-res pixels in
 place and applies the 3-tap restore conv f -> C. The composed form runs
 them as one 5-tap conv F -> r^2*C, less two border terms where the restore
-conv's zero padding hides an expand output. `upsample_line` takes the
-composed form when 5*C*F < 3*f*(F + C), the rule on FLOPs per low-res
-pixel in `composes`; the full-size model (F=280, f=64, C=66) streams
-through the separate form and a narrow training config (F=32, f=64, C=16)
-takes the composed one.
+conv's zero padding hides an expand output, after building its composite
+weight once per call. `upsample_line` runs, per call, the form whose ops
+count fewer FLOPs for that call's lines and width, so one config may
+stream through one form and train through the other; their outputs agree
+to float rounding.
 """
 
 import math
@@ -187,23 +187,6 @@ class UpsamplerParams(ParamSet):
         return self.dims[2]
 
 
-def composes(features, up_features, bands):
-    """True when the upsampler runs as one composed 5-tap conv.
-
-    Per low-res pixel the composed conv F -> r^2*C costs 10*r^2*C*F FLOPs and
-    the separate form, the expand conv F -> r^2*f and `restore_conv`'s
-    f -> C over the r^2 high-res pixels, costs 6*r^2*f*(F + C); r and W cancel,
-    so the choice depends on the channel widths alone.
-
-    The rule leaves out the composed form's weight build, paid once per
-    call: 9.61 MFLOP at F = 32, f = 64, C = 16, r = 4. A call over few
-    pixels can so run the costlier form: one streamed line of that config
-    costs 12.25 MFLOP composed against 9.48 separate at W = 32, and the
-    composed form is cheaper only from about W = 45 on.
-    """
-    return 5 * bands * features < 3 * up_features * (features + bands)
-
-
 # Restore tap t reads high-res column j*r + b + t - 1, which is expand
 # sub-pixel b' = (b + t - 1) mod r of low-res column j + d, d the floor of
 # (b + t - 1) / r. Per tap t, (output sub-pixels b, their b', d), covering
@@ -362,21 +345,27 @@ def upsample_composed(x, p):
     return T.record(out, (x, p.expand_w, p.expand_b, p.restore_w, p.restore_b), fn)
 
 
+def _composes(p, lines, width):
+    """True when `upsample_composed` counts fewer FLOPs than `upsample_separate`
+    over `lines` lines of `width` px: the terms each passes to `T.count`,
+    per high-res pixel, plus the composed form's weight build per call and
+    its two border terms per line. A tie goes to the separate form.
+    """
+    fin, f, r, c = p.dims
+    px = lines * width * r * r
+    separate = px * (6 * f * (fin + c) + f + c)
+    composed = (px * (10 * c * fin + c) + (2 * f + 1) * 3 * r * r * c * (3 * fin + 1)
+                + lines * 2 * r * c * (2 * fin + 2))
+    return composed < separate
+
+
 def upsample_line(x, p):
     """(.., W, F) line features -> (.., r, r*W, C) super-resolved residual.
 
-    Runs `upsample_composed`, one 5-tap conv less the border terms at the
-    line's first and last high-res column, when `composes` says it does
-    fewer FLOPs than `upsample_separate` (5*C*F < 3*f*(F + C)); otherwise
-    the expand conv and `restore_conv`, the pixel shuffle and restore conv
-    as one op over the expand output in place. The rule reads channel
-    widths only, so a config takes the same form streaming and training;
-    it counts FLOPs per pixel and not the composite weight build of each
-    call, so a narrow streamed line can take the costlier form (see
-    `composes`).
+    Runs `upsample_composed` when it counts fewer FLOPs than
+    `upsample_separate` for this call's lines and width (`_composes`).
     """
-    features, up_features, _, bands = p.dims
-    if composes(features, up_features, bands):
+    if _composes(p, math.prod(x.shape[:-2]), x.shape[-2]):
         return upsample_composed(x, p)
     return upsample_separate(x, p)
 

@@ -60,8 +60,8 @@ class CubeReader:
     Opening checks the header, and that the file holds exactly the records
     the header declares, so a truncated file fails before any line is read.
     Iterating yields each line as a new (W, C) float32 array, first line
-    first, from one reused (C, W) record buffer. Use it as a context
-    manager, which closes the file.
+    first, from one reused (C, W) record buffer; each pass starts again at
+    the first line. Use it as a context manager, which closes the file.
     """
 
     def __init__(self, path):
@@ -98,8 +98,10 @@ class CubeReader:
             band_valid = mask.astype(bool)
         self.height, self.width, self.bands = h, w, c
         self.band_valid = band_valid
+        self._first_record = fh.tell()
 
     def __iter__(self):
+        self._fh.seek(self._first_record)
         record = np.empty((self.bands, self.width), dtype="<f4")
         for _ in range(self.height):
             read_into(self._fh, record, "the payload")

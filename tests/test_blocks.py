@@ -5,7 +5,7 @@ import pytest
 
 from dpsr import tensor as T
 from dpsr.blocks import (NafParams, SfeParams, UpsamplerParams,
-                         bilinear_two_line, composes, naf_forward, restore_conv,
+                         bilinear_two_line, naf_forward, restore_conv,
                          sfe_forward, upsample_composed, upsample_line,
                          upsample_separate)
 from dpsr.errors import ShapeError
@@ -292,7 +292,6 @@ def test_composed_upsampler_equals_separate_form(r, width, lines):
     # the edge columns are where the two border terms act; W = 1 has both in one column
     rng = np.random.default_rng(100 * r + 10 * width + len(lines))
     f_in, f, c = 4, 6, 2
-    assert composes(f_in, f, c)
     p = _composed_params(f_in, f, r, c, rng)
     x = rng.standard_normal(lines + (width, f_in))
     g = rng.standard_normal(lines + (r, r * width, c))
@@ -313,17 +312,37 @@ def test_composed_upsampler_gradients_pass():
     assert err < 1e-4
 
 
-def test_upsampler_form_follows_the_channel_rule():
-    # the benchmark's training config composes; the full-size model does not
-    train, full = DpsrConfig(bands=16, features=32), DpsrConfig(bands=66)
-    assert composes(train.features, train.up_features, train.bands)
-    assert not composes(full.features, full.up_features, full.bands)
-    # composed is one tape node; separate is the expand conv and the restore op
-    for (f_in, f, c), nodes in [((32, 64, 16), 1), ((280, 64, 66), 2)]:
-        p = UpsamplerParams.zeros(f_in, f, 2, c)
-        with Tape() as tape:
-            upsample_line(Tensor(np.zeros((2, f_in), dtype=np.float32)), p)
-        assert len(tape.nodes) == nodes
+def _tally(form, x, p):
+    with T.counting() as tally:
+        form(x, p)
+    return tally
+
+
+# (F, f, r, C), the lead axes, widths on both sides of the first width at
+# which the composed form counts fewer FLOPs, and that width (None: never)
+@pytest.mark.parametrize("dims,lead,widths,first", [
+    ((4, 6, 2, 2), (), (7, 8), 8),
+    ((4, 6, 2, 2), (3,), (2, 3), 3),
+    ((8, 16, 4, 4), (2,), (5, 6), 6),
+    ((32, 64, 4, 16), (1,), (1, 44, 45), 45),     # the benchmark's training config
+    ((32, 64, 4, 16), (31,), (1, 2, 32), 2),
+    ((280, 64, 4, 66), (1,), (1, 250), None),     # the full-size model
+    ((6, 6, 2, 2), (3,), (3, 4), 4),              # a tie at 3 x 3
+    ((5, 6, 3, 2), (1,), (8, 9), 9),              # a tie at 1 x 8
+], ids=["no-lead-axis", "3-lines", "2-lines", "train-line", "train-31-lines", "full-size",
+        "tie-3-lines", "tie-1-line"])
+def test_upsampler_runs_the_form_that_counts_fewer_flops(dims, lead, widths, first):
+    p = UpsamplerParams.zeros(*dims)
+    ran = []
+    for w in widths:
+        x = Tensor(np.zeros(lead + (w, dims[0]), dtype=np.float32))
+        sep, comp = (sum(_tally(form, x, p).values())
+                     for form in (upsample_separate, upsample_composed))
+        tally = _tally(upsample_line, x, p)
+        assert sum(tally.values()) == min(sep, comp)
+        ran.append("composite_weight" in tally)
+        assert ran[-1] == (comp < sep)          # a tie runs the separate form
+    assert ran == [first is not None and w >= first for w in widths]
 
 
 def test_profiler_counts_the_form_that_runs():
@@ -339,9 +358,11 @@ def test_profiler_counts_the_form_that_runs():
                 "up.bias": w * r * r * c,
                 "up.border_terms": 2 * r * c * (2 * fin + 2)}
 
-    for cfg, hand in [(DpsrConfig(bands=66), separate),
-                      (DpsrConfig(bands=16, features=32), composed)]:
-        for w in (1, 32):
+    # the full-size model streams separate; the training config composes from 45 px
+    for cfg, widths, first in [(DpsrConfig(bands=66), (1, 32), None),
+                               (DpsrConfig(bands=16, features=32), (1, 44, 45), 45)]:
+        for w in widths:
+            hand = composed if first is not None and w >= first else separate
             up = {i.name: i.flops for i in profile(cfg, w).items if i.name.startswith("up.")}
             assert up == hand(w, cfg.features, cfg.up_features, cfg.scale, cfg.bands)
 

@@ -104,6 +104,14 @@ def test_the_line_reader_and_writer_match_read_cube_and_write_cube(tmp_path):
     assert np.array_equal(np.stack(lines), read_cube(tmp_path / "whole.hsc").data)
 
 
+@pytest.mark.parametrize("band_valid", [None, [True, False]], ids=["no-mask", "mask"])
+def test_a_second_pass_over_a_reader_yields_the_same_lines(tmp_path, band_valid):
+    write_cube(cube(shape=(4, 3, 2), band_valid=band_valid), tmp_path / "c.hsc")
+    with CubeReader(tmp_path / "c.hsc") as reader:
+        first, second = list(reader), list(reader)
+    assert len(first) == 4 and np.array_equal(np.stack(first), np.stack(second))
+
+
 def test_a_failed_or_short_write_leaves_no_cube(tmp_path):
     path = tmp_path / "c.hsc"
     with pytest.raises(ZeroDivisionError):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpsr import ssm
+from dpsr import ssm, tensor as T
 from dpsr.errors import ContractError, FormatError, NumericError
 from dpsr.model import (HEADER_FIELDS, MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams,
                         _first_bad_line, _record_bytes, dpsr_forward_image, dpsr_step,
@@ -30,7 +30,9 @@ def small_config(kind, up_features=4, **kw):
                       memory_kind=kind, **kw)
 
 
-# up_features 4 runs the separate upsampler, 16 the composed one (blocks.composes)
+# up_features 4 always runs the separate upsampler. At 16 a call over 12 px or
+# more composes: a 5-px streamed line and 2-line chunks run the separate form,
+# 3- and 9-line chunks and the 40-px image forward the composed one
 UP_FEATURES = (4, 16)
 
 
@@ -130,8 +132,12 @@ def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
                                  seed=1)
         params = astype(params, dtype)
         cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
-        streamed, state = fold_steps(cube, params)
-        whole = dpsr_forward_image(cube, params).data
+        with T.counting() as steps:
+            streamed, state = fold_steps(cube, params)
+        with T.counting() as image:
+            whole = dpsr_forward_image(cube, params).data
+        assert "composite_weight" not in steps
+        assert ("composite_weight" in image) == (up_features == 16)
         assert streamed.shape == whole.shape == (8 * 4, 5 * 4, 4)
         assert streamed.dtype == whole.dtype == dtype
         assert np.max(np.abs(streamed - whole)) <= tol
@@ -172,8 +178,10 @@ def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
                                  seed=1)
         params = astype(params, dtype)
         cube = np.random.default_rng(2).random((9, 5, 4)).astype(dtype)
-        streamed, state = fold_steps(cube, params, chunk)
+        with T.counting() as steps:
+            streamed, state = fold_steps(cube, params, chunk)
         whole = dpsr_forward_image(cube, params).data
+        assert ("composite_weight" in steps) == (up_features == 16 and chunk > 2)
         assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
         assert np.max(np.abs(streamed - whole)) <= tol
         assert state.lines_consumed == 9

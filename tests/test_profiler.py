@@ -11,7 +11,7 @@ from dpsr.profiler import profile
 CONFIGS = {
     "mamba": DpsrConfig(bands=66),
     "causalconv": DpsrConfig(bands=66, memory_kind="causalconv"),
-    "composed": DpsrConfig(bands=16, features=32),
+    "composed": DpsrConfig(bands=16, features=32),     # composes from W = 45 on
     "expand2": DpsrConfig(bands=16, features=32, up_features=16, expand=2),
 }
 
@@ -27,8 +27,8 @@ GOLDEN_TABLES = {
                         "3ecaf88c7f2434589a2073ef7b14e54a9a6563313907e8dfc07129e997feb419"),
     ("causalconv", 250): ("280,66,4,causalconv,2523139,5103746.5,77329.5,1746000",
                           "00d4539aee5bd16b89b84a4be0c42615fe00649b92e8d2b9b281c5fe1db75a73"),
-    ("composed", 1): ("32,16,4,mamba,131666,9767784.0,610486.5,4928",
-                      "85599038fa3f0df01cc5b24f6586da765124cddd3548ad4751efd1746a0eb784"),
+    ("composed", 1): ("32,16,4,mamba,131666,363368.0,22710.5,4928",
+                      "dd25f4ca8b32b1c2339a8fe489d9cbc4d7225398d5ff655467aa6d45c7643a84"),
     ("composed", 250): ("32,16,4,mamba,131666,181315.9,11332.2,1232000",
                         "aff430fedb0a7eb583acc741eef0021ec694bea1fa438a3573dff3c467d50872"),
     ("expand2", 1): ("32,16,4,mamba,70802,181352.0,11334.5,9792",
