@@ -13,11 +13,16 @@ the argument:
 The two integer rules return a Python int, and let an integral float such
 as 2.0 pass as 2; 2.5 fails rather than truncating. A bool fails every
 rule: it is a `numbers.Real`, but True is no size, rate or seed.
+
+Each array check for NaN or inf is `first_non_finite`; its callers raise
+the class that fits what they guard.
 """
 
 import math
 import numbers
 import os
+
+import numpy as np
 
 
 class DpsrError(Exception):
@@ -82,6 +87,15 @@ def seed_int(value):
     NumPy's `default_rng` needs (it raises ValueError or TypeError otherwise)."""
     check_non_negative("seed", value)
     return _integral("seed", value)
+
+
+def first_non_finite(a):
+    """Index along axis 0 of the first slice of `a` holding a NaN or inf, or
+    None when every value is finite."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return int(np.argmin(finite.all(axis=tuple(range(1, a.ndim)))))
 
 
 def check_size(fh, need, what):

@@ -24,8 +24,8 @@ import numpy as np
 from . import ssm, tensor as T
 from .blocks import (NafParams, SfeParams, UpsamplerParams, bilinear_two_line,
                      naf_forward, sfe_forward, upsample_line)
-from .errors import (ContractError, FormatError, NumericError, check_size, positive_int,
-                     read_exact, read_into)
+from .errors import (ContractError, FormatError, NumericError, check_size, first_non_finite,
+                     positive_int, read_exact, read_into)
 from .tensor import Tensor
 
 MEMORY_KINDS = ("mamba", "causalconv")
@@ -146,23 +146,6 @@ def init_stream(params, width, dtype=np.float32):
                             for _, mem in params.clff])
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _first_bad_line(a):
-    """Index along axis 0 of the first slice holding a non-finite value, or None.
-
-    One float64 sum tests the whole array, and the bool mask is built only
-    when that sum is not finite: any NaN or inf reaches the sum, and float32
-    values cannot overflow it. A float64 sum that overflows falls back to
-    the mask.
-    """
-    if np.isfinite(np.add.reduce(a, axis=None, dtype=np.float64)):
-        return None
-    finite = np.isfinite(a)
-    if finite.all():
-        return None
-    return int(np.argmin(finite.all(axis=tuple(range(1, a.ndim)))))
-
-
 # NumPy's overflow warnings are silenced: the finite checks below turn a
 # value that overflowed into a NumericError naming the block and line.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -178,7 +161,7 @@ def _forward(x, params, state):
     whole = state is None         # the whole-image forward, from a fresh stream
     state = init_stream(params, x.shape[1], dtype=x.dtype) if whole else state
     first = state.lines_consumed
-    row = _first_bad_line(x.data)
+    row = first_non_finite(x.data)
     if row is not None:
         raise ContractError(f"non-finite input at line {first + row}")
 
@@ -187,9 +170,9 @@ def _forward(x, params, state):
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
         z = naf_forward(z, naf)
         z, mstate = ssm.entry(mem, whole)(z, mem, mstate)
-        # a non-finite latent reaches z through the readout, gate and output
-        # projection, so the (L, W, F) output is checked, not the (L, W, N, EF) latent
-        row = None if mstate.h is None else _first_bad_line(z.data)
+        # a non-finite latent reaches z through the readout, gate and output projection,
+        # so `first_non_finite` checks the (L, W, F) output, not the (L, W, N, EF) latent
+        row = None if mstate.h is None else first_non_finite(z.data)
         if row is not None:
             raise NumericError(f"non-finite SSM latent in CLFF block {i} at line {first + row}")
         new_mem.append(mstate)
@@ -207,7 +190,7 @@ def _forward(x, params, state):
         out.data += bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
     else:
         out = Tensor(np.empty((0, cfg.scale, cfg.scale * x.shape[1], cfg.bands), x.dtype))
-    row = _first_bad_line(out.data)
+    row = first_non_finite(out.data)
     if row is not None:
         raise NumericError(f"non-finite output at line {first + primed + row}")
     out = T.reshape(out, (-1,) + out.shape[2:])
@@ -321,7 +304,7 @@ def load_params(path):
             read_into(fh, t.data, f"{name} payload")     # `<f4` on disk
             if sys.byteorder == "big":
                 t.data.byteswap(inplace=True)
-            if not np.isfinite(t.data).all():
+            if first_non_finite(t.data) is not None:
                 raise FormatError(f"{name}: non-finite weight")
         if fh.read(1):
             raise FormatError("trailing bytes after the last tensor")

@@ -60,6 +60,38 @@ def test_dpsr_threads_is_set_before_numpy_loads(preset, expected):
     assert run.stdout.strip() == repr([expected])
 
 
+# Imports the modules named on the command line in order and prints every
+# warning raised on the way.
+_IMPORT_ORDER = """
+import json, sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for name in sys.argv[1:]:
+        __import__(name)
+print(json.dumps([f"{w.category.__name__}: {w.message}" for w in caught]))
+"""
+
+
+@pytest.mark.parametrize("threads, order, warns", [
+    ("1", ("dpsr", "numpy"), False),
+    ("1", ("numpy", "dpsr"), True),
+    (None, ("numpy", "dpsr"), False),
+], ids=["dpsr-first", "numpy-first", "numpy-first-unset"])
+def test_dpsr_threads_warns_when_numpy_loaded_first(threads, order, warns):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("DPSR_THREADS",)}
+    env["PYTHONPATH"] = str(Path(dpsr.__file__).resolve().parents[1])
+    if threads is not None:
+        env["DPSR_THREADS"] = threads
+    run = subprocess.run([sys.executable, "-c", _IMPORT_ORDER, *order], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    caught = json.loads(run.stdout)
+    if not warns:
+        assert caught == []
+        return
+    assert len(caught) == 1 and caught[0].startswith("RuntimeWarning: DPSR_THREADS")
+    assert all(var in caught[0] for var in THREAD_VARS)
+
+
 @pytest.fixture
 def files(tmp_path):
     """A small model and a 6-line cube whose line 3 holds `bad` (if given)."""

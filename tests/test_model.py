@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from dpsr import ssm, tensor as T
-from dpsr.errors import ContractError, FormatError, NumericError
+from dpsr.errors import ContractError, FormatError, NumericError, first_non_finite
 from dpsr.model import (HEADER_FIELDS, MAGIC, MEMORY_KINDS, DpsrConfig, DpsrParams,
-                        _first_bad_line, _record_bytes, dpsr_forward_image, dpsr_step,
-                        load_params, save_params)
+                        _record_bytes, dpsr_forward_image, dpsr_step, load_params,
+                        save_params)
 from dpsr.profiler import profile
 
 # sha256 and size of the seed-0 container of the small config below. Any
@@ -262,14 +262,29 @@ def test_a_streamed_line_allocates_little_beyond_its_state_and_output(kind):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_the_finite_check_finds_the_first_bad_line_whatever_the_sum(dtype):
-    # the float64 sum of these overflows for float64 values, never for float32
+def test_first_non_finite_finds_the_first_bad_line_at_the_largest_values(dtype):
+    # the largest finite values are finite, whatever their sum
     a = np.full((4, 3), np.finfo(dtype).max, dtype=dtype)
-    assert _first_bad_line(a) is None
+    assert first_non_finite(a) is None
     a[2, 1] = np.nan
-    assert _first_bad_line(a) == 2
+    assert first_non_finite(a) == 2
     a[1, 0] = -np.inf
-    assert _first_bad_line(a) == 1
+    assert first_non_finite(a) == 1
+
+
+@pytest.mark.parametrize("shape, bad", [
+    ((7,), (4,)),                      # a bias
+    ((1, 250, 66), (0, 249, 65)),      # one streamed line
+    ((5, 4, 3), (4, 3, 2)),            # a NaN in the last slice only
+    ((2, 3, 4, 5), (1, 0, 3, 2)),      # a 4-D array
+])
+def test_first_non_finite_at_the_shapes_its_callers_pass(shape, bad):
+    a = np.ones(shape, dtype=np.float32)
+    assert first_non_finite(a) is None
+    a[bad] = np.nan
+    assert first_non_finite(a) == bad[0]
+    a[bad] = np.inf
+    assert first_non_finite(a) == bad[0]
 
 
 def test_upsampler_runs_only_on_lines_whose_output_is_kept(monkeypatch):

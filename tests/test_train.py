@@ -1,12 +1,14 @@
 """The training loss: value, gradient and its masks; the whole model's gradient;
 the training pairs and fit's contract errors."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dpsr import tensor as T, train
 from dpsr.dataio import augment8, bicubic_downsample, extract_patches, make_synthetic
-from dpsr.errors import ContractError
+from dpsr.errors import ContractError, NumericError
 from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
 from gradcheck import grad_check, tensor_grad_check
@@ -99,6 +101,24 @@ def test_whole_model_gradient(kind, up_features, count, composed):
         lambda: train.loss_terms(dpsr_forward_image(lr, params), hr, ALPHA_S, ALPHA_G)[0],
         named)
     assert max(ratios.values()) <= 1, sorted(ratios.items(), key=lambda kv: -kv[1])[:5]
+
+
+def test_a_non_finite_gradient_leaves_parameters_and_optimizer_untouched():
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    named = DpsrParams.init(cfg, seed=0).named_tensors()
+    opt = train.AdamState.init(named)
+    rng = np.random.default_rng(0)
+    grads = [rng.standard_normal(p.shape).astype(p.dtype) for _, p in named]
+    train.adam_step(named, grads, opt, 1e-3)          # m, v and t are no longer zero
+    before = [[p.data.copy() for _, p in named], [m.copy() for m in opt.m],
+              [v.copy() for v in opt.v]]
+    grads[-1].flat[-1] = np.nan
+    with pytest.raises(NumericError, match=f"gradient for parameter {re.escape(named[-1][0])}$"):
+        train.adam_step(named, grads, opt, 1e-3)
+    assert opt.t == 1
+    after = [[p.data for _, p in named], opt.m, opt.v]
+    for old, new in zip(before, after):
+        assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
 
 def test_fit_is_deterministic_per_seed(tmp_path):
