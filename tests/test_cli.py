@@ -1,4 +1,4 @@
-"""Command-line parser defaults, exit codes, manifests and the DPSR_THREADS cap."""
+"""Command-line parser defaults, exit codes, manifests and the package import."""
 
 import inspect
 import json
@@ -18,24 +18,29 @@ from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step, load_par
 from dpsr.profiler import profile
 from dpsr.stream import PRISMA_LINE_MS
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Records OPENBLAS_NUM_THREADS at the moment NumPy is first imported, which
-# is when OpenBLAS reads it.
-_PROBE = """
-import os, sys
-seen = []
-
-class Probe:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
-
-sys.meta_path.insert(0, Probe())
-import dpsr.cli
-print(seen)
+# Prints the environment before and after `import dpsr`, and the warnings the
+# import raised.
+_IMPORT = """
+import json, os, warnings
+before = dict(os.environ)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import dpsr
+print(json.dumps([before, dict(os.environ), [str(w.message) for w in caught]]))
 """
+
+
+def test_importing_dpsr_leaves_the_environment_alone():
+    # the BLAS library's own variables are the one thread setting: the import
+    # sets none of them, whatever else (DPSR_THREADS here) the environment holds
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["DPSR_THREADS"] = "2"
+    env["PYTHONPATH"] = str(Path(dpsr.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _IMPORT], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    before, after, caught = json.loads(run.stdout)
+    assert after == before and caught == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -46,50 +51,6 @@ def test_budget_defaults_to_the_prisma_line_period(argv):
     args = build_parser().parse_args(argv)
     assert args.budget_ms == PRISMA_LINE_MS
     assert build_parser().parse_args(argv + ["--budget-ms", "2.5"]).budget_ms == 2.5
-
-
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
-def test_dpsr_threads_is_set_before_numpy_loads(preset, expected):
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["DPSR_THREADS"] = "1"
-    env["PYTHONPATH"] = str(Path(dpsr.__file__).resolve().parents[1])
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    run = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert run.stdout.strip() == repr([expected])
-
-
-# Imports the modules named on the command line in order and prints every
-# warning raised on the way.
-_IMPORT_ORDER = """
-import json, sys, warnings
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    for name in sys.argv[1:]:
-        __import__(name)
-print(json.dumps([f"{w.category.__name__}: {w.message}" for w in caught]))
-"""
-
-
-@pytest.mark.parametrize("threads, order, warns", [
-    ("1", ("dpsr", "numpy"), False),
-    ("1", ("numpy", "dpsr"), True),
-    (None, ("numpy", "dpsr"), False),
-], ids=["dpsr-first", "numpy-first", "numpy-first-unset"])
-def test_dpsr_threads_warns_when_numpy_loaded_first(threads, order, warns):
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS + ("DPSR_THREADS",)}
-    env["PYTHONPATH"] = str(Path(dpsr.__file__).resolve().parents[1])
-    if threads is not None:
-        env["DPSR_THREADS"] = threads
-    run = subprocess.run([sys.executable, "-c", _IMPORT_ORDER, *order], env=env,
-                         capture_output=True, text=True, timeout=60, check=True)
-    caught = json.loads(run.stdout)
-    if not warns:
-        assert caught == []
-        return
-    assert len(caught) == 1 and caught[0].startswith("RuntimeWarning: DPSR_THREADS")
-    assert all(var in caught[0] for var in THREAD_VARS)
 
 
 @pytest.fixture
