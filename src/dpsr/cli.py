@@ -280,7 +280,7 @@ def build_parser():
     _add_model_flags(s)
     s.add_argument("--width", type=int, default=PROFILE_WIDTH,
                    help="count one streamed line this many px wide; the count runs the "
-                        "line (about 65 KB per px at full size, 143 MB at W = 2000)")
+                        "line (about 60 KB per px at full size, 149 MB at W = 2000)")
     s.set_defaults(func=cmd_profile)
     return p
 

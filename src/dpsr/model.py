@@ -165,11 +165,16 @@ def _forward(x, params, state):
     if row is not None:
         raise ContractError(f"non-finite input at line {first + row}")
 
-    z = sfe_forward(x, params.sfe)
+    # each block runs under its `named_tensors()` prefix, the one name it has
+    # on disk, in a FLOP tally and in `dpsr profile`
+    with T.named("sfe"):
+        z = sfe_forward(x, params.sfe)
     new_mem = []
     for i, ((naf, mem), mstate) in enumerate(zip(params.clff, state.mem)):
-        z = naf_forward(z, naf)
-        z, mstate = ssm.entry(mem, whole)(z, mem, mstate)
+        with T.named(f"clff{i}.naf"):
+            z = naf_forward(z, naf)
+        with T.named(f"clff{i}.mem"):
+            z, mstate = ssm.entry(mem, whole)(z, mem, mstate)
         # a non-finite latent reaches z through the readout, gate and output projection,
         # so `first_non_finite` checks the (L, W, F) output, not the (L, W, N, EF) latent
         row = None if mstate.h is None else first_non_finite(z.data)
@@ -183,7 +188,8 @@ def _forward(x, params, state):
         lines = np.concatenate([state.prev_line[None], lines])
     if len(lines) > 1:                         # upsample only the lines whose output is kept
         z = T.slice_axis(z, 0, 1, len(x.data)) if primed else z
-        out = upsample_line(z, params.upsampler)               # (L - primed, r, rW, C)
+        with T.named("up"):
+            out = upsample_line(z, params.upsampler)           # (L - primed, r, rW, C)
         # the base carries no gradient, and no upsampler backward reads its
         # own output, so the base is added in place, once the upsampler's
         # scratch is gone

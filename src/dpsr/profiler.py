@@ -1,32 +1,34 @@
 """Parameter / FLOPs / state-memory accounting for one streamed line.
 
-FLOPs are counted, not restated: `profile` runs one (1, W, C) line of zero
-parameters through the blocks in `model._forward`'s order (SFE, then each
-CLFF's NAF block and memory step from a fresh state, then the upsampler),
-each block inside its own `tensor.counting()`, and reports what every op
-ran as `<block>.<op>`. The counting conventions live in the ops (see
-`tensor.counting`). A profiled line is one streamed line, so it includes
-work paid once per call, such as the composed upsampler's weight build;
-the bilinear base and the residual add over it run outside the blocks and
-are not counted. Both FLOP densities are reported: "per input pixel"
-divides one line's cost by W, "per input sample" by W*C as well, because
-published complexity tables rarely say which denominator they use.
+FLOPs are counted, not restated: `profile` runs one `dpsr_step` of a
+(W, C) line of zero parameters under one `tensor.counting()`, on a stream
+primed by construction (a zero previous line, so no priming line runs).
+`model._forward`, the one place that states the block order, runs each
+block inside `tensor.named(<block>)` with its `DpsrParams.named_tensors()`
+prefix, so every op is reported as `<block>.<op>` in the order the blocks
+ran. The counting conventions live in the ops (see `tensor.counting`). A
+profiled line is one streamed line, so it includes work paid once per
+call, such as the composed upsampler's weight build; the bilinear base
+and the residual add over it are not tensor ops and are not counted.
+Both FLOP densities are reported: "per input pixel" divides one line's
+cost by W, "per input sample" by W*C as well, because published
+complexity tables rarely say which denominator they use.
 
-Parameter counts are the sizes of the tensors each block declares in
-`ParamSet.spec`. The streaming state is the arrays `StreamState.spec`
-declares, at 4 bytes per (float32) element: the same arrays a running
-stream allocates and `StreamState.nbytes()` measures.
+Parameter counts are the sizes of `DpsrParams.named_tensors()`, grouped
+by block (a tensor name up to its last dot). The streaming state is the
+arrays `StreamState.spec` declares, at 4 bytes per (float32) element: the
+same arrays a running stream allocates and `StreamState.nbytes()`
+measures.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ssm, tensor as T
-from .blocks import naf_forward, sfe_forward, upsample_line
+from . import tensor as T
 from .errors import positive_int
-from .model import DpsrParams, StreamState
+from .model import DpsrParams, StreamState, dpsr_step, init_stream
 
 
 @dataclass
@@ -96,28 +98,23 @@ PROFILE_WIDTH = 32     # px of the line `profile` counts by default
 
 
 def profile(config, width=PROFILE_WIDTH):
-    """Count one streamed line of `width` px through every block.
+    """Count one streamed line of `width` px: one `dpsr_step` of a primed stream.
 
     The count runs that line, so it costs what one line at that width does:
-    about 65 KB per px at full size, 143 MB at W = 2000.
+    about 60 KB per px at full size, 149 MB at W = 2000.
     """
     width = positive_int("width", width)
     params = DpsrParams.zeros(config)
-    items, sizes = [], []
-
-    def run(block, p, forward, *args):
-        with T.counting() as tally:
-            out = forward(*args)
-        items.extend(CostItem(f"{block}.{op}", flops) for op, flops in tally.items())
-        sizes.append((block, sum(t.size for _, t in p.named_tensors())))
-        return out
-
-    line = T.Tensor(np.zeros((1, width, config.bands), dtype=np.float32))
-    z = run("sfe", params.sfe, sfe_forward, line, params.sfe)
-    for i, (naf, mem) in enumerate(params.clff):
-        z = run(f"clff{i}.naf", naf, naf_forward, z, naf)
-        z, _ = run(f"clff{i}.mem", mem, ssm.entry(mem), z, mem, ssm.MemoryState.fresh(mem, width))
-    run("up", params.upsampler, upsample_line, z, params.upsampler)
+    line = np.zeros((width, config.bands), dtype=np.float32)
+    primed = replace(init_stream(params, width), prev_line=line, lines_consumed=1)
+    with T.counting() as tally:
+        dpsr_step(line, params, primed)
+    sizes = {}
+    for name, t in params.named_tensors():
+        block = name.rpartition(".")[0]
+        sizes[block] = sizes.get(block, 0) + t.size
     state = [(label, 4 * math.prod(shape))       # the stream state is float32
              for label, shape in StreamState.spec(config, width)]
-    return CostReport(config=config, width=width, items=items, params=sizes, state=state)
+    return CostReport(config=config, width=width,
+                      items=[CostItem(name, flops) for name, flops in tally.items()],
+                      params=list(sizes.items()), state=state)

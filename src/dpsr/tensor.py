@@ -8,7 +8,8 @@ order, which is already a topological order, so the backward pass is a
 single reversed sweep.
 
 All ops are pure and deterministic; nothing here mutates its inputs.
-Inside a `counting()` context they also tally the FLOPs they ran.
+Inside a `counting()` context they also tally the FLOPs they ran, each
+under the name of the `named()` block that ran it.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from .errors import ContractError, ShapeError
 _ids = itertools.count()
 _tape_stack = []
 _count_stack = []
+_name_stack = []
 
 
 def _active_tape():
@@ -29,7 +31,8 @@ def _active_tape():
 
 @contextlib.contextmanager
 def counting():
-    """Tally the FLOPs of the ops run inside, as {op name: FLOPs}.
+    """Tally the FLOPs of the ops run inside, as {op name: FLOPs}; inside
+    `named(block)` an op is tallied as `<block>.<op>`.
 
     Each op passes the FLOPs of the shapes it ran to `count`, which adds
     them to the innermost open tally. The conventions live in the ops: a
@@ -45,9 +48,27 @@ def counting():
         _count_stack.pop()
 
 
+class named:
+    """Files the ops run inside under `<name>.<op>`; the innermost open name wins.
+    A class: a line opens one per block, at a third of a generator's cost."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        _name_stack.append(self.name)
+
+    def __exit__(self, *exc):
+        _name_stack.pop()
+
+
 def count(op, flops):
-    """Add `flops` under `op` to the innermost open `counting()` tally, if any."""
+    """Add `flops` under `op` (`<name>.<op>` in `named`) to the innermost open tally, if any."""
     if _count_stack:
+        if _name_stack:
+            op = f"{_name_stack[-1]}.{op}"
         tally = _count_stack[-1]
         tally[op] = tally.get(op, 0) + flops
 

@@ -136,8 +136,8 @@ def test_step_fold_equals_image_forward(kind, kernel_lines, dtype, tol):
             streamed, state = fold_steps(cube, params)
         with T.counting() as image:
             whole = dpsr_forward_image(cube, params).data
-        assert "composite_weight" not in steps
-        assert ("composite_weight" in image) == (up_features == 16)
+        assert "up.composite_weight" not in steps
+        assert ("up.composite_weight" in image) == (up_features == 16)
         assert streamed.shape == whole.shape == (8 * 4, 5 * 4, 4)
         assert streamed.dtype == whole.dtype == dtype
         assert np.max(np.abs(streamed - whole)) <= tol
@@ -181,7 +181,7 @@ def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
         with T.counting() as steps:
             streamed, state = fold_steps(cube, params, chunk)
         whole = dpsr_forward_image(cube, params).data
-        assert ("composite_weight" in steps) == (up_features == 16 and chunk > 2)
+        assert ("up.composite_weight" in steps) == (up_features == 16 and chunk > 2)
         assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
         assert np.max(np.abs(streamed - whole)) <= tol
         assert state.lines_consumed == 9

@@ -1,11 +1,14 @@
 """The profiler's counted FLOPs, parameter and state accounting."""
 
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
+from dpsr import tensor as T
 from dpsr.errors import ContractError
-from dpsr.model import DpsrConfig, DpsrParams
+from dpsr.model import DpsrConfig, DpsrParams, dpsr_step
 from dpsr.profiler import profile
 
 CONFIGS = {
@@ -55,3 +58,27 @@ def test_profile_table_matches_golden(name, width):
 def test_profile_rejects_a_fractional_width():
     with pytest.raises(ContractError):
         profile(CONFIGS["composed"], 2.5)
+
+
+def block_of(name):
+    return name.rpartition(".")[0]
+
+
+# both memory kinds, and both upsampler forms (the composed config streams
+# separate at 1 px and composed at 250 px)
+@pytest.mark.parametrize("name,width", [("mamba", 32), ("causalconv", 32),
+                                        ("composed", 1), ("composed", 250)])
+def test_blocks_are_named_once_by_the_parameter_prefixes(name, width):
+    cfg = CONFIGS[name]
+    params = DpsrParams.init(cfg, seed=0)
+    blocks = list(dict.fromkeys(block_of(n) for n, _ in params.named_tensors()))
+    report = profile(cfg, width)
+    # one contiguous run of items per block, in the parameters' order
+    assert [b for b, _ in itertools.groupby(block_of(i.name) for i in report.items)] == blocks
+    assert [b for b, _ in report.params] == blocks
+    # a real stream, primed by its first line: no op counts outside a block
+    lines = np.random.default_rng(1).random((2, width, cfg.bands)).astype(np.float32)
+    _, state = dpsr_step(lines[0], params, None)
+    with T.counting() as tally:
+        dpsr_step(lines[1], params, state)
+    assert tally and all(block_of(op) in blocks for op in tally)

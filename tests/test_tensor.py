@@ -648,3 +648,18 @@ def test_layer_norm_gradients():
             lambda: T.reduce_mean(T.mul(T.layer_norm(x, g, b),
                                         T.layer_norm(x, g, b))), [x, g, b])
         assert err < 1e-5
+
+
+def test_ops_count_under_the_innermost_open_name():
+    x = Tensor(np.ones((4, 2)))
+    with T.counting() as tally:
+        with T.named("a"):
+            T.add(x, x)
+            with T.named("b"):
+                T.add(x, x)
+            # the name unwinds when an exception passes through it
+            with pytest.raises(ValueError), T.named("c"):
+                raise ValueError
+            T.relu(x)
+        T.relu(x)
+    assert tally == {"a.add": 8, "b.add": 8, "a.relu": 8, "relu": 8}

@@ -96,7 +96,7 @@ def test_whole_model_gradient(kind, up_features, count, composed):
     hr = rng.uniform(0.1, 1.0, (6, 16, 3))
     with T.counting() as tally:
         dpsr_forward_image(lr, params)
-    assert ("composite_weight" in tally) == composed
+    assert ("up.composite_weight" in tally) == composed
     ratios = tensor_grad_check(
         lambda: train.loss_terms(dpsr_forward_image(lr, params), hr, ALPHA_S, ALPHA_G)[0],
         named)
