@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, positive_int
+from .errors import ContractError, first_non_finite, positive_int
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -127,7 +127,9 @@ def evaluate(pred, ref, r):
 
     pred must have exactly r fewer lines than ref: the streamed output
     starts at high-res line 0 and simply never covers the last r lines, so
-    alignment just crops the reference tail.
+    alignment just crops the reference tail. A NaN or inf in the compared
+    lines raises ContractError: the band means and SAM would skip it and
+    score the prediction as perfect.
     """
     r = positive_int("r", r)
     if pred.height + r != ref.height:
@@ -142,6 +144,10 @@ def evaluate(pred, ref, r):
         raise ContractError("no valid bands in common")
     p = pred.data
     t = ref.data[:pred.height]
+    for name, a in (("prediction", p), ("reference", t)):
+        row = first_non_finite(a)
+        if row is not None:
+            raise ContractError(f"non-finite value in the {name} at line {row}")
 
     bands = p.shape[2]
     psnr = np.full(bands, np.nan)

@@ -78,8 +78,8 @@ class DpsrParams:
     @classmethod
     def build(cls, config, make):
         """Each block as `make(block class, *its dims)`, the one place that knows
-        every block's dims: tensors for `init` / `zeros`, the dims
-        `StreamState.spec` sizes the state by, record sizes for `load_params`."""
+        every block's dims: tensors for `init` / `zeros`, record sizes for
+        `load_params`, the memory dims `MemoryState.fresh` sizes the state by."""
         c = config
         return cls(
             config=c,
@@ -118,14 +118,6 @@ class StreamState:
     prev_line: np.ndarray | None = None
     lines_consumed: int = 0
 
-    @staticmethod
-    def spec(config, width):
-        """(label, shape) of every array a primed stream of `width` px holds."""
-        blocks = DpsrParams.build(config, lambda block, *dims: dims)
-        arrays = [(f"clff{i}.{label}", shape) for i, (_, mem) in enumerate(blocks.clff)
-                  for _, label, shape in ssm.MemoryState.spec(*mem, width)]
-        return arrays + [("prev_line[WxC]", (width, config.bands))]
-
     @property
     def width(self):
         return self.mem[0].width
@@ -134,11 +126,16 @@ class StreamState:
     def dtype(self):
         return self.mem[0].conv_tail.dtype
 
-    def nbytes(self):
-        n = sum(m.nbytes() for m in self.mem)
+    def arrays(self):
+        """(label, array) of every array the stream holds: each block's, then `prev_line`."""
+        arrays = [(f"clff{i}.{label}", a) for i, m in enumerate(self.mem)
+                  for label, a in m.arrays()]
         if self.prev_line is not None:
-            n += self.prev_line.nbytes
-        return n
+            arrays.append(("prev_line[WxC]", self.prev_line))
+        return arrays
+
+    def nbytes(self):
+        return sum(a.nbytes for _, a in self.arrays())
 
 
 def init_stream(params, width, dtype=np.float32):

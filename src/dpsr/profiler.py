@@ -15,20 +15,19 @@ cost by W, "per input sample" by W*C as well, because published
 complexity tables rarely say which denominator they use.
 
 Parameter counts are the sizes of `DpsrParams.named_tensors()`, grouped
-by block (a tensor name up to its last dot). The streaming state is the
-arrays `StreamState.spec` declares, at 4 bytes per (float32) element: the
-same arrays a running stream allocates and `StreamState.nbytes()`
-measures.
+by block (a tensor name up to its last dot). The streaming state is
+measured, not restated: one row per array `StreamState.arrays()` lists on
+the primed stream the line ran from, with its bytes, which sum to what
+`StreamState.nbytes()` reports for a running stream.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .errors import positive_int
-from .model import DpsrParams, StreamState, dpsr_step, init_stream
+from .model import DpsrParams, dpsr_step, init_stream
 
 
 @dataclass
@@ -113,8 +112,7 @@ def profile(config, width=PROFILE_WIDTH):
     for name, t in params.named_tensors():
         block = name.rpartition(".")[0]
         sizes[block] = sizes.get(block, 0) + t.size
-    state = [(label, 4 * math.prod(shape))       # the stream state is float32
-             for label, shape in StreamState.spec(config, width)]
     return CostReport(config=config, width=width,
                       items=[CostItem(name, flops) for name, flops in tally.items()],
-                      params=list(sizes.items()), state=state)
+                      params=list(sizes.items()),
+                      state=[(label, a.nbytes) for label, a in primed.arrays()])

@@ -24,9 +24,10 @@ State per block: the last K-1 projected feature lines (K-1, W, EF), which
 is all the causal convolution reads besides the new line, and, for the
 selective block, the SSM latent (W, N, EF), laid out with the channels
 last so that its updates run along the long contiguous axis. Both are
-independent of how many lines were already processed. `MemoryState.spec`
-declares them once, next to the parameters: `fresh` allocates from it, and
-`StreamState.spec` gathers it for the state rows `dpsr profile` prints.
+independent of how many lines were already processed. `MemoryState`'s
+fields are those arrays: `fresh` sizes them from the block's dims, and
+`arrays()` lists them, for `StreamState.arrays()` and the state rows
+`dpsr profile` measures on a primed stream.
 The ops that read the state return its next value:
 `tensor.causal_depthwise_conv` returns (y, next tail) as
 `tensor.selective_scan` returns (y, next latent).
@@ -90,31 +91,26 @@ class MemoryParams(ParamSet):
 
 @dataclass
 class MemoryState:
-    """Recurrent state of one memory block, its arrays declared once by `spec`."""
+    """Recurrent state of one memory block: its fields are the arrays it holds."""
 
     conv_tail: np.ndarray          # (K-1, W, EF) last value lines, oldest first
     h: np.ndarray | None = None    # (W, N, EF) SSM latent; selective blocks only
 
-    @staticmethod
-    def spec(features, expand, state, kernel_lines, selective, width):
-        """(field, label, shape) of each array: `MemoryParams.spec`'s dims plus the width."""
-        ef = features * expand
-        arrays = [("conv_tail", "conv_tail[(K-1)xWxEF]", (kernel_lines - 1, width, ef))]
-        if selective:
-            arrays.append(("h", "ssm_latent[WxNxEF]", (width, state, ef)))
-        return arrays
-
     @classmethod
     def fresh(cls, params, width, dtype=np.float32):
-        return cls(**{field: np.zeros(shape, dtype=dtype)
-                      for field, _, shape in cls.spec(*params.dims, width)})
+        features, expand, state, kernel_lines, selective = params.dims
+        ef = features * expand
+        return cls(conv_tail=np.zeros((kernel_lines - 1, width, ef), dtype=dtype),
+                   h=np.zeros((width, state, ef), dtype=dtype) if selective else None)
 
     @property
     def width(self):
         return self.conv_tail.shape[1]
 
-    def nbytes(self):
-        return self.conv_tail.nbytes + (0 if self.h is None else self.h.nbytes)
+    def arrays(self):
+        """(label, array) of each array the state holds, in field order."""
+        labeled = [("conv_tail[(K-1)xWxEF]", self.conv_tail), ("ssm_latent[WxNxEF]", self.h)]
+        return [(label, a) for label, a in labeled if a is not None]
 
 
 def _forward(z, p, s):

@@ -11,8 +11,8 @@ first; everything it prints and writes is read from those rows.
 Memory is audited as the bytes of the recurrent state's arrays after each
 line (`StreamState.nbytes()`), not by OS measurement; the constant-in-H
 property is about state size, and allocator overhead would only blur it.
-Those arrays are the ones `StreamState.spec` declares, which is also what
-`dpsr profile` prints for a width, without allocating them. Latency is
+Those arrays are the ones `StreamState.arrays()` lists, which `dpsr
+profile` measures one by one on the primed stream it counts. Latency is
 wall-clock per line and is reported, never asserted: whether a machine
 keeps up is a property of the machine, counted by `StreamReport.late_lines`.
 """

@@ -170,9 +170,9 @@ def _prepare_pairs(cubes, scale, patch):
     """HR cubes -> list of (lr, hr) arrays over the 8 dihedral images of
     every patch.
 
-    Each hr is a read-only view of the one copy of its patch that
-    `extract_patches` made, so the 8 targets of a patch share its memory.
-    Each lr is decimated from its image as a transient contiguous cube.
+    Each (lr, hr) is one read-only dihedral view of the patch's one
+    decimation and of the one copy `extract_patches` made: decimating a
+    square patch commutes with its views, so 8 pairs share two buffers.
     """
     pairs = []
     for cube in cubes:
@@ -182,9 +182,8 @@ def _prepare_pairs(cubes, scale, patch):
         if patch % scale:
             raise ContractError(f"patch {patch} not divisible by scale {scale}")
         for base in extract_patches(cube, patch):
-            for hr in dihedral_views(base.data):
-                lr = bicubic_downsample(HsiCube(data=hr, band_valid=base.band_valid), scale)
-                pairs.append((lr.data, hr))
+            lr = bicubic_downsample(base, scale).data
+            pairs += zip(dihedral_views(lr), dihedral_views(base.data))
     return pairs
 
 
@@ -210,8 +209,8 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     once per fit. Cubes of another band count than the model's, and val cubes
     too small for SSIM once `evaluate` discards lines, fail before step 1.
 
-    The HR targets are read-only views, 8 per patch, of one copy of each
-    patch; a step copies the lines its loss uses to a contiguous array.
+    The pairs are read-only views (`_prepare_pairs`); a step copies the
+    lines its loss uses to a contiguous array.
     """
     tc = train_config
     scale = model_config.scale

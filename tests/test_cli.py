@@ -13,7 +13,7 @@ import pytest
 
 import dpsr
 from dpsr.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO, EXIT_NUMERIC, build_parser, main
-from dpsr.dataio import HsiCube, make_synthetic, write_cube
+from dpsr.dataio import HsiCube, make_synthetic, read_cube, write_cube
 from dpsr.model import MEMORY_KINDS, DpsrConfig, DpsrParams, dpsr_step, load_params, save_params
 from dpsr.profiler import profile
 from dpsr.stream import PRISMA_LINE_MS
@@ -375,6 +375,17 @@ def test_a_missing_input_exits_io(tmp_path, capsys, argv):
 def test_eval_rejects_a_zero_factor(synth):
     hr = str(synth / "data" / "synth_00005.hsc")
     assert main(["eval", "--pred", hr, "--ref", hr, "--factor", "0"]) == EXIT_CONTRACT
+
+
+def test_eval_rejects_a_prediction_holding_a_nan(synth, capsys):
+    # it printed MPSNR 100.00 dB, MSSIM 1.0000 and SAM 0.0000 deg, and exited 0
+    ref = synth / "data" / "synth_00005.hsc"
+    pred = read_cube(ref).data[:-4].copy()
+    pred[3, 5, 1] = np.nan
+    write_cube(HsiCube(data=pred), synth / "pred.hsc")
+    argv = ["eval", "--pred", str(synth / "pred.hsc"), "--ref", str(ref), "--factor", "4"]
+    assert main(argv) == EXIT_CONTRACT
+    assert "non-finite value in the prediction at line 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--count", "--height", "--width", "--bands"])

@@ -106,3 +106,25 @@ def test_evaluate_crops_the_last_r_lines_and_drops_invalid_bands():
     assert report.bands_used == 2 and report.rmse == 0.0
     # all bands valid: band 1's error counts
     assert evaluate(HsiCube(pred), HsiCube(ref), r).rmse > 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["prediction", "reference"])
+def test_evaluate_rejects_a_non_finite_value_in_either_cube(name, value):
+    # a NaN prediction band scored MPSNR 100 dB, MSSIM 1 and SAM 0: nanmean
+    # skipped the band and SAM the pixel
+    r = 2
+    ref = np.random.default_rng(6).uniform(0.1, 0.9, (14, 12, 3))
+    pred = ref[:-r].copy()
+    (pred if name == "prediction" else ref)[3, 5, 1] = value
+    with pytest.raises(ContractError, match=f"non-finite value in the {name} at line 3$"):
+        evaluate(HsiCube(pred), HsiCube(ref), r)
+
+
+def test_a_non_finite_value_in_the_discarded_reference_lines_still_scores():
+    r = 2
+    ref = np.random.default_rng(7).uniform(0.1, 0.9, (14, 12, 3))
+    pred = ref[:-r].copy()
+    ref[-1, 4, 0] = np.nan
+    report = evaluate(HsiCube(pred), HsiCube(ref), r)
+    assert report.mpsnr_db == metrics.PSNR_CAP_DB and report.rmse == 0.0

@@ -15,6 +15,9 @@ from dpsr.model import (HEADER_FIELDS, MAGIC, MEMORY_KINDS, DpsrConfig, DpsrPara
                         _record_bytes, dpsr_forward_image, dpsr_step, load_params,
                         save_params)
 from dpsr.profiler import profile
+from dpsr.tensor import Tensor
+from test_blocks import _bilinear_gather, _naf_oracle, _sfe_oracle, pixel_shuffle_line
+from test_ssm import oracle_memory_block
 
 # sha256 and size of the seed-0 container of the small config below. Any
 # change to the parameter declarations, their order or the seeded draws
@@ -100,13 +103,11 @@ def test_header_sizes_every_tensor_record(saved, kind):
 
 
 def state_arrays(state):
-    arrays = [state.prev_line] + [a for m in state.mem for a in (m.conv_tail, m.h)]
-    return [None if a is None else a.copy() for a in arrays]
+    return [a.copy() for _, a in state.arrays()]
 
 
 def unchanged(before, state):
-    return all((a is None and b is None) or np.array_equal(a, b)
-               for a, b in zip(before, state_arrays(state)))
+    return all(np.array_equal(a, b) for a, b in zip(before, state_arrays(state), strict=True))
 
 
 def fold_steps(cube, params, chunk=1):
@@ -185,6 +186,50 @@ def test_chunk_fold_equals_image_forward(kind, kernel_lines, dtype, tol, chunk):
         assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
         assert np.max(np.abs(streamed - whole)) <= tol
         assert state.lines_consumed == 9
+
+
+def _line_conv_oracle(x, w, b):
+    """(W, F_in) -> (W, F_out): a 3-tap conv along the line, zero padded, one tap at a time."""
+    xp = np.pad(x, ((1, 1), (0, 0)))
+    return b + sum(xp[j:j + len(x)] @ w[:, :, j].T for j in range(3))
+
+
+def oracle_stream(cube, params):
+    """(L, W, C) lines through the whole model from a fresh stream, in float64,
+    composed from the block oracles: SFE and NAF line by line, the memory
+    block pixel by pixel, then for every line after the first the expand
+    conv, the reference shuffle and the restore conv over the bilinear base
+    between it and the line before it."""
+    z = np.stack([_sfe_oracle(x, params.sfe) for x in cube])
+    for naf, mem in params.clff:
+        z = oracle_memory_block(np.stack([_naf_oracle(line, naf) for line in z]), mem)
+    up = params.upsampler
+    out = []
+    for y in range(1, len(cube)):
+        t = _line_conv_oracle(z[y], up.expand_w.data, up.expand_b.data)
+        t = pixel_shuffle_line(Tensor(t), up.scale, up.up_features).data
+        res = np.stack([_line_conv_oracle(a, up.restore_w.data, up.restore_b.data) for a in t])
+        out.append(res + _bilinear_gather(cube[y - 1], cube[y], up.scale))
+    return np.concatenate(out)
+
+
+# a streamed line of 8 px or more composes the upsampler at these dims
+@pytest.mark.parametrize("width, composed", [(3, False), (8, True)])
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_streamed_lines_equal_the_whole_line_oracle(kind, width, composed):
+    cfg = DpsrConfig(bands=2, features=4, expand=2, state_size=2, kernel_lines=3,
+                     up_features=6, scale=2, memory_kind=kind)
+    params = DpsrParams.init(cfg, seed=12, dtype=np.float64)
+    rng = np.random.default_rng(12)
+    for _, t in params.named_tensors():     # no bias, norm or D skip at its init value
+        t.data += rng.uniform(0.05, 0.2, t.shape) * rng.choice([-1, 1], t.shape)
+    cube = rng.random((6, width, cfg.bands))
+    with T.counting() as tally:
+        streamed, _ = fold_steps(cube, params)
+    assert ("up.composite_weight" in tally) == composed
+    want = oracle_stream(cube, params)
+    assert streamed.shape == want.shape == (5 * 2, width * 2, cfg.bands)
+    assert np.max(np.abs(streamed - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -313,7 +358,7 @@ def test_a_float32_stream_casts_other_lines_to_its_dtype(kind, dtype):
     want, cast = dpsr_step(cube[1].astype(np.float32), params, state)
     assert sr.dtype == np.float32 and sr.tobytes() == want.tobytes()
     assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
-               for a, b in zip(state_arrays(other), state_arrays(cast)) if a is not None)
+               for a, b in zip(state_arrays(other), state_arrays(cast)))
     assert other.nbytes() == nbytes
     sr, other = dpsr_step(cube[2:], params, other)
     assert sr.dtype == np.float32 and other.nbytes() == nbytes
@@ -325,7 +370,7 @@ def test_a_fresh_stream_takes_the_tensor_dtype_rule(dtype, want):
     params = DpsrParams.init(small_config("mamba"), seed=0)
     line = (8 * np.random.default_rng(4).random((6, 4))).astype(dtype)
     _, state = dpsr_step(line, params, None)
-    assert all(a.dtype == want for a in state_arrays(state) if a is not None)
+    assert all(a.dtype == want for a in state_arrays(state))
 
 
 def test_a_float32_line_passes_into_the_stream_uncopied(monkeypatch):

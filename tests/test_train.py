@@ -184,14 +184,16 @@ def test_prepare_pairs_equals_augmented_copies_and_shares_each_patch():
         assert lr.dtype == hr.dtype == np.float32
         assert lr.tobytes() == want_lr.tobytes() and lr.shape == want_lr.shape
         assert hr.tobytes() == want_hr.tobytes() and hr.shape == want_hr.shape
-        assert not hr.flags.writeable
+        assert not lr.flags.writeable and not hr.flags.writeable
     # one copy per patch: its 8 targets are views of the first, which holds
-    # the patch itself, and no two patches share memory
+    # the patch itself, and no two patches share memory; likewise one
+    # decimation per patch, which its 8 inputs are views of
     for i, patch in enumerate(extract_patches(cube, 8)):
-        group = [hr for _, hr in pairs[8 * i:8 * i + 8]]
-        assert np.array_equal(group[0], patch.data)
-        assert all(np.shares_memory(hr, group[0]) for hr in group)
-        assert not np.shares_memory(group[0], pairs[(8 * i + 8) % len(pairs)][1])
+        for side, own in ((1, patch.data), (0, bicubic_downsample(patch, 2).data)):
+            group = [pair[side] for pair in pairs[8 * i:8 * i + 8]]
+            assert np.array_equal(group[0], own)
+            assert all(np.shares_memory(a, group[0]) for a in group)
+            assert not np.shares_memory(group[0], pairs[(8 * i + 8) % len(pairs)][side])
 
 
 @pytest.mark.parametrize("train_cubes,patch,match", [
