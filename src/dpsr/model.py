@@ -122,10 +122,6 @@ class StreamState:
     def width(self):
         return self.mem[0].width
 
-    @property
-    def dtype(self):
-        return self.mem[0].conv_tail.dtype
-
     def arrays(self):
         """(label, array) of every array the stream holds: each block's, then `prev_line`."""
         arrays = [(f"clff{i}.{label}", a) for i, m in enumerate(self.mem)
@@ -138,25 +134,29 @@ class StreamState:
         return sum(a.nbytes for _, a in self.arrays())
 
 
-def init_stream(params, width, dtype=np.float32):
-    return StreamState(mem=[ssm.MemoryState.fresh(mem, width, dtype)
-                            for _, mem in params.clff])
+def init_stream(params, width):
+    return StreamState(mem=[ssm.MemoryState.fresh(mem, width) for _, mem in params.clff])
 
 
 # NumPy's overflow warnings are silenced: the finite checks below turn a
-# value that overflowed into a NumericError naming the block and line.
+# value that overflowed (in the cast or a block) into an error naming the line.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _forward(x, params, state):
+def _forward(lines, params, state):
     """(L, W, C) lines that follow `state` -> (out Tensor, next StreamState).
 
     `out` stacks the r high-res lines each input line closes with the line
     before it: (L*r, r*W, C), or ((L-1)*r, r*W, C) when `state` has no
     previous line and the first input line only primes. `state` is never
     mutated, so a caller can drop a rejected chunk and go on from it.
+
+    The lines are cast once to the parameters' dtype, a run's one precision:
+    a line already in it enters uncopied, and a value it cannot hold becomes
+    inf and is rejected as non-finite input.
     """
     cfg = params.config
+    x = Tensor(lines.astype(params.sfe.conv_w.dtype, copy=False))
     whole = state is None         # the whole-image forward, from a fresh stream
-    state = init_stream(params, x.shape[1], dtype=x.dtype) if whole else state
+    state = init_stream(params, x.shape[1]) if whole else state
     first = state.lines_consumed
     row = first_non_finite(x.data)
     if row is not None:
@@ -211,13 +211,12 @@ def dpsr_step(lines, params, state):
     (there is no previous line to interpolate from). Any chunking of a
     stream gives the same output as `dpsr_forward_image`.
 
-    A primed stream casts each chunk to its state's dtype, so its state
-    and outputs keep one dtype and size; a fresh stream takes `Tensor`'s
-    rule (float64 stays float64, anything else becomes float32).
-
-    A chunk holding a NaN or +-inf value raises ContractError naming the
-    line; nothing of the chunk is processed and `state` is left as it was,
-    so the stream can skip the bad line and go on from `state`.
+    A stream runs in its parameters' dtype whatever its lines' dtype, so
+    its state and outputs keep that dtype and one size. A chunk holding a
+    NaN or +-inf value, or a value that dtype cannot hold, raises
+    ContractError naming the line; nothing of the chunk is processed and
+    `state` is left as it was, so the stream can skip the bad line and go
+    on from `state`.
     """
     cfg = params.config
     lines = np.asarray(lines)
@@ -225,14 +224,11 @@ def dpsr_step(lines, params, state):
         raise ContractError(f"dpsr_step: expected a (W, {cfg.bands}) line or a "
                             f"(k, W, {cfg.bands}) chunk, got {lines.shape}")
     x = lines.reshape((-1,) + lines.shape[-2:])
-    if state is None:
-        x = Tensor(x).data
-        state = init_stream(params, x.shape[1], dtype=x.dtype)
-    x = x.astype(state.dtype, copy=False)
+    state = init_stream(params, x.shape[1]) if state is None else state
     if x.shape[1] != state.width:
         raise ContractError(
             f"dpsr_step: line width {x.shape[1]} vs stream width {state.width}")
-    out, next_state = _forward(Tensor(x), params, state)
+    out, next_state = _forward(x, params, state)
     return (out.data if len(out.data) else None), next_state
 
 
@@ -243,8 +239,8 @@ def dpsr_forward_image(cube_lr, params):
     is the training path, so the result participates in the tape.
     """
     cfg = params.config
-    x = T.as_tensor(cube_lr)
-    if x.data.ndim != 3 or x.shape[2] != cfg.bands:
+    x = np.asarray(cube_lr)
+    if x.ndim != 3 or x.shape[2] != cfg.bands:
         raise ContractError(
             f"forward_image: expected (H, W, {cfg.bands}), got {x.shape}")
     if x.shape[0] < 2:

@@ -25,9 +25,9 @@ is all the causal convolution reads besides the new line, and, for the
 selective block, the SSM latent (W, N, EF), laid out with the channels
 last so that its updates run along the long contiguous axis. Both are
 independent of how many lines were already processed. `MemoryState`'s
-fields are those arrays: `fresh` sizes them from the block's dims, and
-`arrays()` lists them, for `StreamState.arrays()` and the state rows
-`dpsr profile` measures on a primed stream.
+fields are those arrays: `fresh` sizes and types them from the block's
+parameters, and `arrays()` lists them, for `StreamState.arrays()` and the
+state rows `dpsr profile` measures on a primed stream.
 The ops that read the state return its next value:
 `tensor.causal_depthwise_conv` returns (y, next tail) as
 `tensor.selective_scan` returns (y, next latent).
@@ -97,9 +97,10 @@ class MemoryState:
     h: np.ndarray | None = None    # (W, N, EF) SSM latent; selective blocks only
 
     @classmethod
-    def fresh(cls, params, width, dtype=np.float32):
+    def fresh(cls, params, width):
+        """Zero state for `width`-px lines, sized and typed by the block's parameters."""
         features, expand, state, kernel_lines, selective = params.dims
-        ef = features * expand
+        ef, dtype = features * expand, params.in_w.dtype
         return cls(conv_tail=np.zeros((kernel_lines - 1, width, ef), dtype=dtype),
                    h=np.zeros((width, state, ef), dtype=dtype) if selective else None)
 

@@ -103,10 +103,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def __deepcopy__(self, memo):
-        # fresh tid: a copied tensor must never alias tape entries
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
 
 def as_tensor(x, like=None):
     """Coerce scalars/arrays to Tensor, matching `like`'s dtype if given."""

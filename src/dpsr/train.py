@@ -5,7 +5,6 @@ order and augmentation choice all come from one Generator, so two runs
 with the same seed produce identical logs.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +173,9 @@ def _prepare_pairs(cubes, scale, patch):
     decimation and of the one copy `extract_patches` made: decimating a
     square patch commutes with its views, so 8 pairs share two buffers.
     """
+    if patch < 2 * scale:
+        raise ContractError(f"patch {patch} gives {patch // scale}-line LR sequences at "
+                            f"scale {scale}; the forward needs at least 2 lines")
     pairs = []
     for cube in cubes:
         if patch > cube.height or patch > cube.width:
@@ -262,7 +264,7 @@ def fit(train_cubes, val_cubes, model_config, train_config):
             score = _val_mpsnr(params, val_cubes, val_lr, scale)
             row.val_mpsnr = score
             if score > best_score:
-                best, best_score = copy.deepcopy(params), score
+                best, best_score = [t.data.copy() for _, t in named], score
                 evals_since_best = 0
             else:
                 evals_since_best += 1
@@ -270,9 +272,10 @@ def fit(train_cubes, val_cubes, model_config, train_config):
         if evals_since_best >= tc.patience:
             break
 
-    if best is None:
-        best = params
-    return best, log
+    if best is not None:
+        for (_, t), data in zip(named, best):
+            t.data = data
+    return params, log
 
 
 def write_log(log, path):

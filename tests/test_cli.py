@@ -300,6 +300,12 @@ def test_pipeline_end_to_end(synth, capsys):
     assert main(["eval", "--pred", str(sr), "--ref", str(hr), "--factor", "4",
                  "--csv", str(synth / "eval.csv")]) == 0
     assert len((synth / "eval.csv").read_text().splitlines()) == 2
+    # a second run appends its row, labelled, under the one header
+    assert main(["eval", "--pred", str(sr), "--ref", str(hr), "--factor", "4",
+                 "--csv", str(synth / "eval.csv"), "--dataset", "synth",
+                 "--config-name", "small"]) == 0
+    rows = (synth / "eval.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[-1].startswith("synth,small,4,")
     capsys.readouterr()
     assert main(["profile", "--config", str(synth / "model.cfg"), "--features", "8"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("8,4,4,causalconv,")

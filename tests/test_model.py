@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,13 +365,56 @@ def test_a_float32_stream_casts_other_lines_to_its_dtype(kind, dtype):
     assert sr.dtype == np.float32 and other.nbytes() == nbytes
 
 
-@pytest.mark.parametrize("dtype, want", [(np.float64, np.float64), (np.float32, np.float32),
-                                         (np.int64, np.float32), (np.float16, np.float32)])
-def test_a_fresh_stream_takes_the_tensor_dtype_rule(dtype, want):
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.float16],
+                         ids=["float64", "float32", "int64", "float16"])
+def test_a_stream_runs_in_its_parameters_dtype(kind, dtype):
+    # fresh and primed, the state and the outputs are float32 whatever the
+    # lines' dtype, bit for bit those of the lines cast to float32 first
+    cfg = small_config(kind)
+    params = DpsrParams.init(cfg, seed=0)
+    cube = (8 * np.random.default_rng(4).random((4, 6, 4))).astype(dtype)
+    state = cast = None
+    for lines in (cube[0], cube[1:]):
+        sr, state = dpsr_step(lines, params, state)
+        want, cast = dpsr_step(lines.astype(np.float32), params, cast)
+        assert (sr is None) == (want is None)
+        assert sr is None or (sr.dtype == np.float32 and sr.tobytes() == want.tobytes())
+        assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
+                   for a, b in zip(state_arrays(state), state_arrays(cast), strict=True))
+        assert state.nbytes() == profile(cfg, 6).state_bytes
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_float64_parameters_stream_float32_lines_as_the_image_forward(kind, chunk):
+    params = astype(DpsrParams.init(small_config(kind), seed=1), np.float64)
+    cube = np.random.default_rng(2).random((40, 5, 4)).astype(np.float32)
+    streamed, state = fold_steps(cube, params, chunk)
+    whole = dpsr_forward_image(cube, params).data
+    assert streamed.dtype == whole.dtype == np.float64
+    assert all(a.dtype == np.float64 for a in state_arrays(state))
+    assert streamed.tobytes() == whole.tobytes()
+
+
+def test_a_value_the_parameters_dtype_cannot_hold_is_non_finite_input():
+    # 1e300 overflows the float32 cast: under warnings-as-errors it is still
+    # the input check's ContractError, and the given state is left as it was
     params = DpsrParams.init(small_config("mamba"), seed=0)
-    line = (8 * np.random.default_rng(4).random((6, 4))).astype(dtype)
-    _, state = dpsr_step(line, params, None)
-    assert all(a.dtype == want for a in state_arrays(state))
+    cube = np.random.default_rng(5).random((6, 5, 4))
+    bad = cube.copy()
+    bad[3, 2, 1] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+            dpsr_forward_image(bad, params)
+        with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+            dpsr_step(bad[:5], params, None)
+        _, state = dpsr_step(cube[:2], params, None)
+        before = state_arrays(state)
+        with pytest.raises(ContractError, match=r"non-finite input at line 3"):
+            dpsr_step(bad[2:5], params, state)
+        assert unchanged(before, state)
 
 
 def test_a_float32_line_passes_into_the_stream_uncopied(monkeypatch):

@@ -22,12 +22,12 @@ def memory_params(dtype, kind="mamba"):
 def test_step_fold_equals_scan_float64(kind):
     params = memory_params(np.float64, kind)
     z = np.random.default_rng(8).standard_normal((12, WIDTH, FEATURES))
-    state = ssm.MemoryState.fresh(params, WIDTH, np.float64)
+    state = ssm.MemoryState.fresh(params, WIDTH)
     folded = []
     for line in z:
         out, state = ssm.entry(params)(line, params, state)
         folded.append(out.data)
-    fresh = ssm.MemoryState.fresh(params, WIDTH, np.float64)
+    fresh = ssm.MemoryState.fresh(params, WIDTH)
     scanned = ssm.entry(params, whole=True)(z, params, fresh)[0].data
     assert np.max(np.abs(np.stack(folded) - scanned)) <= 1e-12
 
@@ -100,12 +100,12 @@ def test_memory_block_equals_its_per_pixel_oracle(kind):
         t.data[...] = rng.uniform(0.2, 1.0, t.shape) * rng.choice([-1, 1], t.shape)
     z = rng.standard_normal((6, 3, 4))
     want = oracle_memory_block(z, params)
-    state = ssm.MemoryState.fresh(params, 3, np.float64)
+    state = ssm.MemoryState.fresh(params, 3)
     folded = []
     for line in z:
         out, state = ssm.entry(params)(line, params, state)
         folded.append(out.data)
-    whole = ssm.entry(params, whole=True)(z, params, ssm.MemoryState.fresh(params, 3, np.float64))
+    whole = ssm.entry(params, whole=True)(z, params, ssm.MemoryState.fresh(params, 3))
     for got in (np.stack(folded), whole[0].data):
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -117,6 +117,6 @@ def test_scan_tape_size_does_not_grow_with_lines():
     for lines in (8, 32):
         z = Tensor(rng.standard_normal((lines, WIDTH, FEATURES)), requires_grad=True)
         with Tape() as tape:
-            ssm.mamba_scan(z, params, ssm.MemoryState.fresh(params, WIDTH, np.float32))
+            ssm.mamba_scan(z, params, ssm.MemoryState.fresh(params, WIDTH))
         counts.append(len(tape.nodes))
     assert counts[0] == counts[1]

@@ -142,6 +142,19 @@ def test_fit_validates_at_the_last_step_before_eval_every():
     assert np.isfinite(log[-1].val_mpsnr)
 
 
+def test_fit_returns_the_weights_of_its_best_validation():
+    # at this lr the val score falls after the first evaluation, so the
+    # weights returned are those of step 2, not the last step's
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(lr=3e-2, batch_size=2, max_steps=6, patch=16, eval_every=2, seed=3)
+    train_cube, val_cube = make_synthetic(1, 32, 32, 4), make_synthetic(2, 32, 32, 4)
+    best, log = train.fit([train_cube], [val_cube], cfg, tc)
+    scores = [row.val_mpsnr for row in log if row.val_mpsnr is not None]
+    assert len(scores) == 3 and scores[0] > max(scores[1:])
+    val_lr = [bicubic_downsample(val_cube, cfg.scale).data]
+    assert train._val_mpsnr(best, [val_cube], val_lr, cfg.scale) == scores[0]
+
+
 @pytest.mark.parametrize("name", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
 def test_train_config_sizes_must_be_integers(name):
     with pytest.raises(ContractError, match=f"{name} must be an integer, got 1.5"):
@@ -199,8 +212,9 @@ def test_prepare_pairs_equals_augmented_copies_and_shares_each_patch():
 @pytest.mark.parametrize("train_cubes,patch,match", [
     ([make_synthetic(1, 32, 16, 4)], 24, "patch 24 larger than cube 32x16"),
     ([make_synthetic(1, 32, 32, 4)], 18, "patch 18 not divisible by scale 4"),
+    ([make_synthetic(1, 32, 32, 4)], 4, "patch 4 gives 1-line LR sequences at scale 4"),
     ([], 16, "no training patches"),
-], ids=["patch-larger-than-cube", "patch-not-divisible", "no-patches"])
+], ids=["patch-larger-than-cube", "patch-not-divisible", "patch-of-one-lr-line", "no-patches"])
 def test_fit_rejects_unusable_training_data(train_cubes, patch, match):
     cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
     tc = train.TrainConfig(batch_size=1, max_steps=1, patch=patch, seed=0)
