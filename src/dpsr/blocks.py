@@ -178,14 +178,6 @@ class UpsamplerParams(ParamSet):
             ("restore_b", (bands,), zero),
         ]
 
-    @property
-    def up_features(self):
-        return self.dims[1]
-
-    @property
-    def scale(self):
-        return self.dims[2]
-
 
 # Restore tap t reads high-res column j*r + b + t - 1, which is expand
 # sub-pixel b' = (b + t - 1) mod r of low-res column j + d, d the floor of

@@ -142,18 +142,22 @@ def init_stream(params, width):
 # value that overflowed (in the cast or a block) into an error naming the line.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _forward(lines, params, state):
-    """(L, W, C) lines that follow `state` -> (out Tensor, next StreamState).
+    """(L, W, C) lines that follow `state` -> (out Tensor or None, next StreamState).
 
     `out` stacks the r high-res lines each input line closes with the line
     before it: (L*r, r*W, C), or ((L-1)*r, r*W, C) when `state` has no
-    previous line and the first input line only primes. `state` is never
+    previous line and the first input line only primes; it is None when no
+    line closes, as on a fresh stream's priming line. `state` is never
     mutated, so a caller can drop a rejected chunk and go on from it.
 
     The lines are cast once to the parameters' dtype, a run's one precision:
     a line already in it enters uncopied, and a value it cannot hold becomes
-    inf and is rejected as non-finite input.
+    inf and is rejected as non-finite input. Lines that are not real numbers
+    (complex, strings, objects) are rejected before the cast.
     """
     cfg = params.config
+    if lines.dtype.kind not in "biuf":
+        raise ContractError(f"input lines of dtype {lines.dtype}: expected real numbers")
     x = Tensor(lines.astype(params.sfe.conv_w.dtype, copy=False))
     whole = state is None         # the whole-image forward, from a fresh stream
     state = init_stream(params, x.shape[1]) if whole else state
@@ -179,27 +183,22 @@ def _forward(lines, params, state):
             raise NumericError(f"non-finite SSM latent in CLFF block {i} at line {first + row}")
         new_mem.append(mstate)
 
-    lines = x.data
+    next_state = StreamState(mem=new_mem, prev_line=x.data[-1].copy(),
+                             lines_consumed=first + len(x.data))
     primed = int(state.prev_line is None)      # a fresh stream's first line only primes
-    if not primed:
-        lines = np.concatenate([state.prev_line[None], lines])
-    if len(lines) > 1:                         # upsample only the lines whose output is kept
-        z = T.slice_axis(z, 0, 1, len(x.data)) if primed else z
-        with T.named("up"):
-            out = upsample_line(z, params.upsampler)           # (L - primed, r, rW, C)
-        # the base carries no gradient, and no upsampler backward reads its
-        # own output, so the base is added in place, once the upsampler's
-        # scratch is gone
-        out.data += bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
-    else:
-        out = Tensor(np.empty((0, cfg.scale, cfg.scale * x.shape[1], cfg.bands), x.dtype))
+    if primed and len(x.data) == 1:            # no line closes
+        return None, next_state
+    lines = x.data if primed else np.concatenate([state.prev_line[None], x.data])
+    z = T.slice_axis(z, 0, 1, len(x.data)) if primed else z    # upsample only the kept lines
+    with T.named("up"):
+        out = upsample_line(z, params.upsampler)               # (L - primed, r, rW, C)
+    # the base carries no gradient, and no upsampler backward reads its own
+    # output, so the base is added in place, once the upsampler's scratch is gone
+    out.data += bilinear_two_line(lines[:-1], lines[1:], cfg.scale)
     row = first_non_finite(out.data)
     if row is not None:
         raise NumericError(f"non-finite output at line {first + primed + row}")
-    out = T.reshape(out, (-1,) + out.shape[2:])
-    next_state = StreamState(mem=new_mem, prev_line=x.data[-1].copy(),
-                             lines_consumed=first + len(x.data))
-    return out, next_state
+    return T.reshape(out, (-1,) + out.shape[2:]), next_state
 
 
 def dpsr_step(lines, params, state):
@@ -208,13 +207,14 @@ def dpsr_step(lines, params, state):
     Returns the (r*n, r*W, C) high-res lines the input closes, n = number of
     input lines with a predecessor, or None when there are none, plus the
     next state. The first line of a stream only primes the recurrent state
-    (there is no previous line to interpolate from). Any chunking of a
-    stream gives the same output as `dpsr_forward_image`.
+    (there is no previous line to interpolate from), so it returns None.
+    Any chunking of a stream gives the same output as `dpsr_forward_image`.
 
-    A stream runs in its parameters' dtype whatever its lines' dtype, so
-    its state and outputs keep that dtype and one size. A chunk holding a
+    A stream runs in its parameters' dtype whatever its lines' real dtype,
+    so its state and outputs keep that dtype and one size. A chunk holding a
     NaN or +-inf value, or a value that dtype cannot hold, raises
-    ContractError naming the line; nothing of the chunk is processed and
+    ContractError naming the line, and a complex or non-numeric chunk raises
+    ContractError naming its dtype; nothing of the chunk is processed and
     `state` is left as it was, so the stream can skip the bad line and go
     on from `state`.
     """
@@ -229,7 +229,7 @@ def dpsr_step(lines, params, state):
         raise ContractError(
             f"dpsr_step: line width {x.shape[1]} vs stream width {state.width}")
     out, next_state = _forward(x, params, state)
-    return (out.data if len(out.data) else None), next_state
+    return (None if out is None else out.data), next_state
 
 
 def dpsr_forward_image(cube_lr, params):

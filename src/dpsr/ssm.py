@@ -28,8 +28,8 @@ independent of how many lines were already processed. `MemoryState`'s
 fields are those arrays: `fresh` sizes and types them from the block's
 parameters, and `arrays()` lists them, for `StreamState.arrays()` and the
 state rows `dpsr profile` measures on a primed stream.
-The ops that read the state return its next value:
-`tensor.causal_depthwise_conv` returns (y, next tail) as
+Both state ops take the state as an array and return its next value as an
+array: `tensor.causal_depthwise_conv` returns (y, next tail) as
 `tensor.selective_scan` returns (y, next latent).
 """
 
@@ -40,7 +40,6 @@ import numpy as np
 from . import tensor as T
 from .blocks import ParamSet, one, uniform, zero
 from .errors import ContractError, ShapeError
-from .tensor import Tensor
 
 DT_MIN = 0.001
 DT_MAX = 0.1
@@ -115,9 +114,9 @@ class MemoryState:
 
 
 def _forward(z, p, s):
-    """(.., W, F) lines after state `s` -> (.., W, F) Tensor plus the next state."""
-    z = T.as_tensor(z)
-    shape, z = z.shape, T.reshape(z, (-1,) + z.shape[-2:])    # (L, W, F)
+    """(L, W, F) Tensor of lines after state `s` -> (L, W, F) Tensor plus the next state."""
+    if z.data.ndim != 3:
+        raise ShapeError(f"memory block: expected (L, W, F) lines, got {z.shape}")
     if s is None:
         raise ContractError("memory block called without an initialized state")
     if z.shape[-1] != p.in_w.shape[1]:
@@ -132,11 +131,10 @@ def _forward(z, p, s):
     if p.selective:
         dt = T.softplus(T.linear(zp, p.dt_w, p.dt_b))
         y, h = T.selective_scan(dt, zp, T.linear(zp, p.b_w), T.linear(zp, p.c_w),
-                                p.a_log, Tensor(s.h))
+                                p.a_log, s.h)
         y = T.add(y, T.mul(p.d_skip, zp))
     gated = T.mul(y, T.silu(T.linear(z, p.gate_w, p.gate_b)))
-    out = T.reshape(T.linear(gated, p.out_w, p.out_b), shape)
-    return out, MemoryState(conv_tail=tail, h=h)
+    return T.linear(gated, p.out_w, p.out_b), MemoryState(conv_tail=tail, h=h)
 
 
 def entry(params, whole=False):
@@ -149,12 +147,12 @@ def entry(params, whole=False):
 
 
 def mamba_step(z, p, s):
-    """(.., W, F) lines after state `s` through the selective block, plus the next state."""
+    """(L, W, F) lines after state `s` through the selective block, plus the next state."""
     return _forward(z, p, s)
 
 
 def causalconv_step(z, p, s):
-    """(.., W, F) lines after state `s` through the causal-conv ablation, plus the next state."""
+    """(L, W, F) lines after state `s` through the causal-conv ablation, plus the next state."""
     return _forward(z, p, s)
 
 

@@ -1,11 +1,12 @@
 """Dense tensors plus reverse-mode automatic differentiation.
 
-Only the operations the network actually uses are implemented. Values live
-in NumPy arrays (float32 by default, float64 for gradient checking); when a
-Tape is active, every op that touches a grad-enabled tensor appends a node
-with a hand-written backward closure. The tape is appended in execution
-order, which is already a topological order, so the backward pass is a
-single reversed sweep.
+Only the operations the network actually uses are implemented. A Tensor
+holds the NumPy array it is given, in its dtype, and is made only where an
+op differentiates it; state crosses the ops as plain arrays. When a Tape is
+active, every op that touches a grad-enabled tensor appends a node with a
+hand-written backward closure. The tape is appended in execution order,
+which is already a topological order, so the backward pass is a single
+reversed sweep.
 
 All ops are pure and deterministic; nothing here mutates its inputs.
 Inside a `counting()` context they also tally the FLOPs they ran, each
@@ -74,17 +75,12 @@ def count(op, flops):
 
 
 class Tensor:
-    """N-dimensional float array, optionally tracked for gradients."""
+    """N-dimensional array, optionally tracked for gradients."""
 
     __slots__ = ("data", "requires_grad", "tid")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.tid = next(_ids)
 
@@ -108,8 +104,7 @@ def as_tensor(x, like=None):
     """Coerce scalars/arrays to Tensor, matching `like`'s dtype if given."""
     if isinstance(x, Tensor):
         return x
-    dtype = like.dtype if isinstance(like, Tensor) else None
-    return Tensor(x, dtype=dtype)
+    return Tensor(np.asarray(x, dtype=like.dtype if isinstance(like, Tensor) else None))
 
 
 class _Node:
@@ -542,7 +537,7 @@ def selective_scan(dt, u, b, c, a_log, h0):
 
     dt, u: (L, W, E) step sizes and inputs; b, c: (L, W, N) input and
     readout vectors; a_log: (E, N) with A = -exp(a_log); h0: (W, N, E)
-    latent before line 0. For each line t:
+    latent array before line 0, which carries no gradient. For each line t:
 
         h_t = exp(dt_t * A) * h_{t-1} + b_t (outer) (dt_t * u_t)
         y_t[w, e] = sum_n c_t[w, n] * h_t[w, n, e]
@@ -564,9 +559,9 @@ def selective_scan(dt, u, b, c, a_log, h0):
         raise ShapeError(
             f"selective_scan: dt {dt.shape}, u {u.shape}, b {b.shape}, c {c.shape}, "
             f"a_log {a_log.shape}, h0 {h0.shape}")
-    inputs = (dt, u, b, c, a_log, h0)
-    dtype = np.result_type(*(t.data for t in inputs))
-    dtd, ud, bd, cd, h0d = dt.data, u.data, b.data, c.data, h0.data
+    inputs = (dt, u, b, c, a_log)
+    dtype = np.result_type(h0, *(t.data for t in inputs))
+    dtd, ud, bd, cd = dt.data, u.data, b.data, c.data
     at = np.ascontiguousarray(-np.exp(a_log.data.T))    # A as (N, E)
     du = dtd * ud
     # 7 per latent element and line (dt*A, exp, decay, b*du, add, the readout's
@@ -584,7 +579,7 @@ def selective_scan(dt, u, b, c, a_log, h0):
         bw = buf[:len(hw)]
         for t in range(lines):
             np.exp(np.einsum("we,ne->wne", dtd[t, w], at, out=bw), out=bw)
-            np.multiply(hw if t else h0d[w], bw, out=hw)
+            np.multiply(hw if t else h0[w], bw, out=hw)
             hw += np.einsum("wn,we->wne", bd[t, w], du[t, w], out=bw)
             np.matmul(cd[t, w, None, :], hw, out=y[t, w, None, :])
             if taped:
@@ -606,13 +601,13 @@ def selective_scan(dt, u, b, c, a_log, h0):
                 np.matmul(ghw, du[t, w, :, None], out=gb[t, w, :, None])
                 np.matmul(bd[t, w, None, :], ghw, out=gdu[t, w, None, :])
                 np.exp(np.einsum("we,ne->wne", dtd[t, w], at, out=bw), out=bw)
-                np.multiply(ghw, hs[t - 1, w] if t else h0d[w], out=qw)
+                np.multiply(ghw, hs[t - 1, w] if t else h0[w], out=qw)
                 qw *= bw                             # adjoint of dt_t * A
                 ghw *= bw
                 np.einsum("wne,ne->we", qw, at, out=gdt[t, w])
                 ga += np.einsum("wne,we->ne", qw, dtd[t, w])
         gdt += gdu * ud
-        return gdt, gdu * dtd, gb, gc, (ga * at).T, gh
+        return gdt, gdu * dtd, gb, gc, (ga * at).T
 
     return record(out, inputs, fn), h
 

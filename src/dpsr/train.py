@@ -54,11 +54,11 @@ def loss_terms(pred, target, alpha_s, alpha_g):
     padding). total = l1 + alpha_s * sam + alpha_g * grad.
 
     total is one tape op on `pred`, whose backward writes one gradient
-    array for all three terms; l1, sam and grad are untaped Tensors. The
-    SAM masks are constant: a pixel with a zero spectrum on either side, or
-    with spectra collinear to within SAM_COS_CLIP, counts as angle 0 (so
-    loss(pred, pred) is 0 rather than arccos rounding) and gets exactly
-    zero SAM gradient, as does a cosine clipped at -1 + SAM_COS_CLIP.
+    array for all three terms; l1, sam and grad are floats rounded to
+    `pred`'s dtype. The SAM masks are constant: a pixel with a zero spectrum
+    on either side, or with spectra collinear to within SAM_COS_CLIP, counts
+    as angle 0 (so loss(pred, pred) is 0 rather than arccos rounding) and
+    gets exactly zero SAM gradient, as does a cosine clipped at -1 + SAM_COS_CLIP.
     """
     if pred.size == 0:
         raise ContractError("loss on empty tensors")
@@ -108,8 +108,7 @@ def loss_terms(pred, target, alpha_s, alpha_g):
         gp *= g
         return (gp,)
 
-    parts = (Tensor(np.asarray(v, dtype=p.dtype)) for v in (l1, sam, grad))
-    return (T.record(total, (pred,), fn), *parts)
+    return (T.record(total, (pred,), fn), *(float(p.dtype.type(v)) for v in (l1, sam, grad)))
 
 
 def loss(pred, target, alpha_s, alpha_g):
@@ -208,8 +207,9 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     ((Hp-1)*r)-line output against the matching slice of the HR patch,
     which is exactly the discard rule. With `val_cubes`, validation runs
     every `eval_every` steps and at the last step, on LR cubes decimated
-    once per fit. Cubes of another band count than the model's, and val cubes
-    too small for SSIM once `evaluate` discards lines, fail before step 1.
+    once per fit. Cubes of another band count than the model's, training
+    cubes that flag a band invalid, and val cubes too small for SSIM once
+    `evaluate` discards lines, fail before step 1.
 
     The pairs are read-only views (`_prepare_pairs`); a step copies the
     lines its loss uses to a contiguous array.
@@ -219,6 +219,11 @@ def fit(train_cubes, val_cubes, model_config, train_config):
     for cube in [*train_cubes, *val_cubes]:
         if cube.bands != model_config.bands:
             raise ContractError(f"cube has {cube.bands} bands, the model {model_config.bands}")
+    for i, cube in enumerate(train_cubes):      # val cubes keep their masks
+        if not cube.band_valid.all():
+            raise ContractError(f"train cube {i} flags bands "
+                                f"{np.flatnonzero(~cube.band_valid).tolist()} invalid; "
+                                "the loss fits every band")
     for cube in val_cubes:
         if min(cube.height - scale, cube.width) < SSIM_WINDOW:
             raise ContractError(f"val cube {cube.height}x{cube.width} less its last {scale} "
@@ -247,9 +252,9 @@ def fit(train_cubes, val_cubes, model_config, train_config):
                 pred = dpsr_forward_image(lr_arr, params)
                 # a rotated view as the target costs the loss more than this copy
                 tgt = np.ascontiguousarray(hr_arr[:pred.shape[0]])
-                item, l1, sam, grad = loss_terms(pred, tgt, tc.alpha_s, tc.alpha_g)
+                item, *terms = loss_terms(pred, tgt, tc.alpha_s, tc.alpha_g)
                 total = item if total is None else T.add(total, item)
-                parts += [l1.item(), sam.item(), grad.item()]
+                parts += terms
             total = T.mul(total, 1.0 / tc.batch_size)
             loss_val = total.item()
             if not np.isfinite(loss_val):

@@ -204,13 +204,13 @@ def oracle_stream(cube, params):
     z = np.stack([_sfe_oracle(x, params.sfe) for x in cube])
     for naf, mem in params.clff:
         z = oracle_memory_block(np.stack([_naf_oracle(line, naf) for line in z]), mem)
-    up = params.upsampler
+    up, cfg = params.upsampler, params.config
     out = []
     for y in range(1, len(cube)):
         t = _line_conv_oracle(z[y], up.expand_w.data, up.expand_b.data)
-        t = pixel_shuffle_line(Tensor(t), up.scale, up.up_features).data
+        t = pixel_shuffle_line(Tensor(t), cfg.scale, cfg.up_features).data
         res = np.stack([_line_conv_oracle(a, up.restore_w.data, up.restore_b.data) for a in t])
-        out.append(res + _bilinear_gather(cube[y - 1], cube[y], up.scale))
+        out.append(res + _bilinear_gather(cube[y - 1], cube[y], cfg.scale))
     return np.concatenate(out)
 
 
@@ -415,6 +415,38 @@ def test_a_value_the_parameters_dtype_cannot_hold_is_non_finite_input():
         with pytest.raises(ContractError, match=r"non-finite input at line 3"):
             dpsr_step(bad[2:5], params, state)
         assert unchanged(before, state)
+
+
+@pytest.mark.parametrize("line", [
+    np.ones((5, 4), np.complex64) * (1 + 2j), np.ones((5, 4), np.complex128) * (1 + 2j),
+    np.full((5, 4), "0.5")], ids=["complex64", "complex128", "str"])
+def test_a_line_that_is_not_real_numbers_is_rejected_not_truncated(line):
+    # rejected before the cast, which would drop the imaginary part with a
+    # ComplexWarning or fail in NumPy; the given state is left as it was
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    cube = np.random.default_rng(5).random((2, 5, 4)).astype(np.float32)
+    match = rf"input lines of dtype {line.dtype}: expected real numbers"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=match):
+            dpsr_step(line, params, None)
+        with pytest.raises(ContractError, match=match):
+            dpsr_forward_image(np.stack([line, line]), params)
+        _, state = dpsr_step(cube, params, None)
+        before = state_arrays(state)
+        with pytest.raises(ContractError, match=match):
+            dpsr_step(line, params, state)
+        assert unchanged(before, state)
+
+
+@pytest.mark.parametrize("cube, match", [
+    (np.zeros((1, 5, 4), np.float32), r"forward_image needs at least 2 lines"),
+    (np.zeros((5, 4), np.float32), r"expected \(H, W, 4\), got \(5, 4\)"),
+], ids=["one-line", "2-d"])
+def test_the_image_forward_rejects_what_is_not_a_multi_line_image(cube, match):
+    params = DpsrParams.init(small_config("mamba"), seed=0)
+    with pytest.raises(ContractError, match=match):
+        dpsr_forward_image(cube, params)
 
 
 def test_a_float32_line_passes_into_the_stream_uncopied(monkeypatch):

@@ -25,27 +25,31 @@ def test_step_fold_equals_scan_float64(kind):
     state = ssm.MemoryState.fresh(params, WIDTH)
     folded = []
     for line in z:
-        out, state = ssm.entry(params)(line, params, state)
+        out, state = ssm.entry(params)(Tensor(line[None]), params, state)
         folded.append(out.data)
     fresh = ssm.MemoryState.fresh(params, WIDTH)
-    scanned = ssm.entry(params, whole=True)(z, params, fresh)[0].data
-    assert np.max(np.abs(np.stack(folded) - scanned)) <= 1e-12
+    scanned = ssm.entry(params, whole=True)(Tensor(z), params, fresh)[0].data
+    assert np.max(np.abs(np.concatenate(folded) - scanned)) <= 1e-12
 
 
 # `dpsr_step` checks the width before the block runs, so only a direct call
 # reaches the block's own checks
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
-@pytest.mark.parametrize("width, features, primed, error, message", [
-    (WIDTH, FEATURES, False, ContractError, "called without an initialized state"),
-    (WIDTH, FEATURES + 1, True, ShapeError, f"{FEATURES + 1} features vs params {FEATURES}"),
-    (WIDTH + 1, FEATURES, True, ContractError,
+@pytest.mark.parametrize("shape, primed, error, message", [
+    ((1, WIDTH, FEATURES), False, ContractError, "called without an initialized state"),
+    ((1, WIDTH, FEATURES + 1), True, ShapeError, f"{FEATURES + 1} features vs params {FEATURES}"),
+    ((1, WIDTH + 1, FEATURES), True, ContractError,
      f"line width {WIDTH + 1} does not match state width {WIDTH}"),
-], ids=["no-state", "features", "width"])
-def test_the_block_checks_its_own_contract(kind, width, features, primed, error, message):
+    ((2, 1, WIDTH, FEATURES), True, ShapeError,
+     rf"expected \(L, W, F\) lines, got \(2, 1, {WIDTH}, {FEATURES}\)"),
+    ((WIDTH, FEATURES), True, ShapeError,
+     rf"expected \(L, W, F\) lines, got \({WIDTH}, {FEATURES}\)"),
+], ids=["no-state", "features", "width", "rank-4", "rank-2"])
+def test_the_block_checks_its_own_contract(kind, shape, primed, error, message):
     params = memory_params(np.float32, kind)
     state = ssm.MemoryState.fresh(params, WIDTH) if primed else None
     with pytest.raises(error, match=message):
-        ssm.entry(params)(np.zeros((width, features), np.float32), params, state)
+        ssm.entry(params)(Tensor(np.zeros(shape, np.float32)), params, state)
 
 
 def _matvec(w, x, b=None):
@@ -103,10 +107,10 @@ def test_memory_block_equals_its_per_pixel_oracle(kind):
     state = ssm.MemoryState.fresh(params, 3)
     folded = []
     for line in z:
-        out, state = ssm.entry(params)(line, params, state)
+        out, state = ssm.entry(params)(Tensor(line[None]), params, state)
         folded.append(out.data)
-    whole = ssm.entry(params, whole=True)(z, params, ssm.MemoryState.fresh(params, 3))
-    for got in (np.stack(folded), whole[0].data):
+    whole = ssm.entry(params, whole=True)(Tensor(z), params, ssm.MemoryState.fresh(params, 3))
+    for got in (np.concatenate(folded), whole[0].data):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 

@@ -118,3 +118,10 @@ def test_a_hand_built_report_writes_one_csv_row_per_line(tmp_path):
     rep.write_csv(tmp_path / "lines.csv")
     assert (tmp_path / "lines.csv").read_text().splitlines() == [
         "line_index,latency_ms,state_bytes", "0,0.500000,5", "1,1.000000,5", "2,2.000000,5"]
+
+
+def test_a_stream_of_one_line_is_rejected():
+    params = DpsrParams.init(DpsrConfig(bands=4, features=8, up_features=4, state_size=4),
+                             seed=0)
+    with pytest.raises(ContractError, match="streaming needs at least 2 lines"):
+        run_stream(np.zeros((1, 5, 4), np.float32), params)

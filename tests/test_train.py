@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpsr import tensor as T, train
-from dpsr.dataio import augment8, bicubic_downsample, extract_patches, make_synthetic
+from dpsr.dataio import HsiCube, augment8, bicubic_downsample, extract_patches, make_synthetic
 from dpsr.errors import ContractError, NumericError
 from dpsr.model import DpsrConfig, DpsrParams, dpsr_forward_image
 from dpsr.tensor import Tape, Tensor
@@ -48,7 +48,9 @@ def numpy_loss(p, t, alpha_s, alpha_g):
 
 def test_loss_terms_match_numpy_formula():
     pred, target = loss_inputs()
-    got = [v.item() for v in train.loss_terms(Tensor(pred), target, ALPHA_S, ALPHA_G)]
+    total, *parts = train.loss_terms(Tensor(pred), target, ALPHA_S, ALPHA_G)
+    assert all(type(v) is float for v in parts)
+    got = [total.item(), *parts]
     want = numpy_loss(pred, target, ALPHA_S, ALPHA_G)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
     total, l1, sam, grad = got
@@ -155,6 +157,20 @@ def test_fit_returns_the_weights_of_its_best_validation():
     assert train._val_mpsnr(best, [val_cube], val_lr, cfg.scale) == scores[0]
 
 
+def test_fit_stops_after_patience_evaluations_without_a_better_score():
+    # at lr 0 no evaluation beats the first, so the third one after it stops
+    # the fit at step 4 with the seeded initial weights
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(lr=0.0, batch_size=1, max_steps=20, patch=16, eval_every=1,
+                           patience=3, seed=5)
+    best, log = train.fit([make_synthetic(1, 32, 32, 4)], [make_synthetic(2, 32, 32, 4)], cfg, tc)
+    assert [row.step for row in log] == [1, 2, 3, 4]
+    assert all(row.val_mpsnr == log[0].val_mpsnr for row in log)
+    initial = DpsrParams.init(cfg, seed=tc.seed)
+    for (_, got), (_, want) in zip(best.named_tensors(), initial.named_tensors(), strict=True):
+        assert np.array_equal(got.data, want.data)
+
+
 @pytest.mark.parametrize("name", ["batch_size", "max_steps", "patch", "eval_every", "patience"])
 def test_train_config_sizes_must_be_integers(name):
     with pytest.raises(ContractError, match=f"{name} must be an integer, got 1.5"):
@@ -238,4 +254,19 @@ def test_fit_rejects_mismatched_cubes_before_the_first_step(monkeypatch, train_b
     tc = train.TrainConfig(batch_size=1, max_steps=2, patch=16, eval_every=1, seed=0)
     with pytest.raises(ContractError, match=match):
         train.fit([make_synthetic(1, 16, 16, train_bands)], [make_synthetic(2, *val_shape)],
+                  cfg, tc)
+
+
+def test_fit_rejects_a_training_cube_with_invalid_bands_before_the_first_step(monkeypatch):
+    # the loss fits every band; val cubes keep their masks
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(train, "adam_step", no_step)
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=1, max_steps=2, patch=16, eval_every=1, seed=0)
+    flagged = HsiCube(data=make_synthetic(2, 16, 16, 4).data,
+                      band_valid=[True, False, True, False])
+    with pytest.raises(ContractError, match=r"train cube 1 flags bands \[1, 3\] invalid"):
+        train.fit([make_synthetic(1, 16, 16, 4), flagged], [make_synthetic(3, 16, 16, 4)],
                   cfg, tc)
