@@ -137,18 +137,12 @@ class NafParams(ParamSet):
         ]
 
 
-def simple_gate(x):
-    """Halve the channels and multiply the halves (no parameters)."""
-    a, b = T.split_half(x)
-    return T.mul(a, b)
-
-
 def naf_forward(z, p):
     """(.., W, F) -> (.., W, F), two residual sub-blocks."""
     t = T.layer_norm(z, p.ln1_gamma, p.ln1_beta)
     t = T.linear(t, p.pw1_w, p.pw1_b)
     t = T.depthwise_conv1d(t, p.dw_w, p.dw_b)
-    t = simple_gate(t)
+    t = T.gate(t)
     pooled = T.reduce_mean(t, axis=-2, keepdims=True)
     t = T.mul(t, T.linear(pooled, p.sca_w, p.sca_b))
     t = T.linear(t, p.pw2_w, p.pw2_b)
@@ -156,7 +150,7 @@ def naf_forward(z, p):
 
     u = T.layer_norm(y, p.ln2_gamma, p.ln2_beta)
     u = T.linear(u, p.ffn1_w, p.ffn1_b)
-    u = simple_gate(u)
+    u = T.gate(u)
     u = T.linear(u, p.ffn2_w, p.ffn2_b)
     return T.add(y, u)
 

@@ -177,10 +177,11 @@ def _forward(lines, params, state):
         with T.named(f"clff{i}.mem"):
             z, mstate = ssm.entry(mem, whole)(z, mem, mstate)
         # a non-finite latent reaches z through the readout, gate and output projection,
-        # so `first_non_finite` checks the (L, W, F) output, not the (L, W, N, EF) latent
-        row = None if mstate.h is None else first_non_finite(z.data)
+        # so `first_non_finite` checks each block's (L, W, F) output, not the (L, W, N, EF) latent
+        row = first_non_finite(z.data)
         if row is not None:
-            raise NumericError(f"non-finite SSM latent in CLFF block {i} at line {first + row}")
+            what = "SSM latent" if cfg.selective else "causal-conv output"
+            raise NumericError(f"non-finite {what} in CLFF block {i} at line {first + row}")
         new_mem.append(mstate)
 
     next_state = StreamState(mem=new_mem, prev_line=x.data[-1].copy(),

@@ -216,6 +216,18 @@ def mul(a, b):
     return record(out, (a, b), fn)
 
 
+def gate(a):
+    """SimpleGate (NAFNet) as one op, counted as `mul`: a[..., :c/2] * a[..., c/2:].
+    The backward writes one gradient array, [g * a[..., c/2:] | g * a[..., :c/2]]."""
+    c = a.shape[-1]
+    if c % 2 != 0:
+        raise ShapeError(f"gate needs an even channel count, got {c}")
+    x1, x2 = a.data[..., :c // 2], a.data[..., c // 2:]
+    out = Tensor(x1 * x2)
+    count("mul", out.size)
+    return record(out, (a,), lambda g: (np.concatenate([g * x2, g * x1], axis=-1),))
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -324,14 +336,6 @@ def slice_axis(a, axis, lo, hi):
         return (full,)
 
     return record(out, (a,), fn)
-
-
-def split_half(a):
-    """Split the last axis into two equal halves."""
-    c = a.shape[-1]
-    if c % 2 != 0:
-        raise ShapeError(f"split_half needs an even channel count, got {c}")
-    return slice_axis(a, -1, 0, c // 2), slice_axis(a, -1, c // 2, c)
 
 
 # ---------------------------------------------------------------------------

@@ -117,11 +117,10 @@ def test_naf_zeroed_projections_is_identity():
 
 
 def test_simple_gate_multiplicative_identity():
-    from dpsr.blocks import simple_gate
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 3))
     stacked = Tensor(np.concatenate([x, np.ones_like(x)], axis=-1))
-    assert np.allclose(simple_gate(stacked).data, x)
+    assert np.allclose(T.gate(stacked).data, x)
 
 
 def _naf_oracle(z, p):

@@ -319,6 +319,24 @@ def test_unknown_config_key_exits_config(synth, capsys, which):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, match", [
+    ("bands = 4\nfeatures 8\n", r"model.cfg:2: expected key=value, got 'features 8'"),
+    ("bands = 4\nfeatures = eight\n", r"model.cfg:2: bad value for 'features': 'eight'"),
+    ("features = 8\n", r"model config needs at least 'bands'"),
+], ids=["no-equals", "bad-value", "no-bands"])
+def test_a_model_config_that_does_not_parse_exits_config(tmp_path, capsys, text, match):
+    (tmp_path / "model.cfg").write_text(text, encoding="utf-8")
+    assert main(["profile", "--config", str(tmp_path / "model.cfg")]) == EXIT_CONFIG
+    assert match in capsys.readouterr().err
+
+
+def test_train_on_a_data_dir_without_cubes_exits_contract(synth, capsys):
+    (synth / "empty").mkdir()
+    argv = train_argv(synth, "--data-dir", str(synth / "empty"))
+    assert main(argv) == EXIT_CONTRACT
+    assert f"no .hsc cubes in {str(synth / 'empty')!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("factor", ["0", "-2"])
 def test_degrade_rejects_a_non_positive_factor(synth, factor):
     argv = ["degrade", "--in", str(synth / "data" / "synth_00005.hsc"),

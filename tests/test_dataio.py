@@ -135,6 +135,35 @@ def test_a_failed_or_short_write_leaves_no_cube(tmp_path):
     assert not path.exists()
 
 
+def test_a_reader_names_a_file_cut_short_after_it_opened(tmp_path):
+    # 16 KB of records, twice the reader's 8 KB buffer, so the cut lines are read from disk
+    path = tmp_path / "c.hsc"
+    write_cube(cube(shape=(8, 64, 8)), path)
+    with CubeReader(path) as reader:
+        with open(path, "r+b") as fh:
+            fh.truncate(19 + 5 * 64 * 8 * 4 + 100)     # header, 5 whole records and a part
+        lines = []
+        with pytest.raises(FormatError, match="^truncated file while reading the payload$"):
+            for line in reader:
+                lines.append(line)
+    assert len(lines) == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: HsiCube(np.zeros((2, 2, 3)), band_valid=[True, False]),
+    lambda path: CubeWriter(path, (2, 2, 3), band_valid=[True]),
+], ids=["cube", "writer"])
+def test_a_band_mask_of_another_length_is_rejected(tmp_path, make):
+    with pytest.raises(ContractError, match="^band_valid length must equal the band count$"):
+        make(tmp_path / "c.hsc")
+    assert not (tmp_path / "c.hsc").exists()
+
+
+def test_bicubic_downsample_rejects_extents_the_factor_does_not_divide():
+    with pytest.raises(ContractError, match="^extents 6x8 not divisible by factor 4$"):
+        bicubic_downsample(HsiCube(np.zeros((6, 8, 1))), 4)
+
+
 def _catmull_rom(t):
     t = abs(t)
     if t <= 1:

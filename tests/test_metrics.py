@@ -108,6 +108,19 @@ def test_evaluate_crops_the_last_r_lines_and_drops_invalid_bands():
     assert evaluate(HsiCube(pred), HsiCube(ref), r).rmse > 0
 
 
+@pytest.mark.parametrize("pred_shape, pred_valid, match", [
+    ((11, 12, 3), None,
+     r"^prediction has 11 lines; expected 12 \(reference 14 minus 2 discarded\)$"),
+    ((12, 10, 3), None, r"^prediction \(12, 10, 3\) vs reference \(14, 12, 3\)$"),
+    ((12, 12, 2), None, r"^prediction \(12, 12, 2\) vs reference \(14, 12, 3\)$"),
+    ((12, 12, 3), [False, True, False], "^no valid bands in common$"),
+], ids=["height", "width", "bands", "no-common-band"])
+def test_evaluate_rejects_a_prediction_that_does_not_align(pred_shape, pred_valid, match):
+    ref = HsiCube(np.full((14, 12, 3), 0.5), band_valid=[True, False, True])
+    with pytest.raises(ContractError, match=match):
+        evaluate(HsiCube(np.full(pred_shape, 0.5), band_valid=pred_valid), ref, 2)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["prediction", "reference"])
 def test_evaluate_rejects_a_non_finite_value_in_either_cube(name, value):

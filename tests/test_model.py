@@ -81,19 +81,38 @@ def header_field(i, value):
     return lambda b: b[:8 + 4 * i] + struct.pack("<I", value) + b[12 + 4 * i:]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda b: b"DPSRW002" + b[8:],       # bad magic
-    lambda b: b[:-1],                    # truncated payload
-    lambda b: b[:30],                    # truncated header
-    lambda b: b + b"\x00",               # one trailing byte
-    header_field(1, 0xFFFFFFFE),         # features: 192 GiB in sfe.conv_w alone
-    header_field(7, 0xFFFFFFFF),         # n_clff
-], ids=["magic", "truncated", "truncated-header", "trailing", "huge-features", "huge-n-clff"])
-def test_corrupt_container_raises_format_error(saved, corrupt):
+def swap_dims(b):
+    """Swap the first two stored dims of the first record (sfe.conv_w, (F, C, 3))."""
+    return b[:52] + struct.pack("<2I", *struct.unpack("<2I", b[52:60])[::-1]) + b[60:]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda b: b"DPSRW002" + b[8:], "bad magic"),
+    (lambda b: b[:-1], "implies 16164 more bytes, 16163 follow"),     # truncated payload
+    (lambda b: b[:30], "truncated file while reading config header"),
+    (lambda b: b + b"\x00", "trailing bytes after the last tensor"),
+    (header_field(1, 0xFFFFFFFE), "the config header implies"),    # 192 GiB in sfe.conv_w alone
+    (header_field(7, 0xFFFFFFFF), "the config header implies"),    # n_clff
+    (header_field(8, 2), "unknown memory kind index 2"),
+    (header_field(1, 7), "invalid config header: features must be even"),
+    (lambda b: b[:48] + struct.pack("<I", 2) + b[52:], "sfe.conv_w: rank 2 does not match"),
+    (swap_dims, r"sfe.conv_w: stored shape \(4, 8, 3\) does not match config shape \(8, 4, 3\)"),
+], ids=["magic", "truncated", "truncated-header", "trailing", "huge-features", "huge-n-clff",
+        "memory-kind-index", "odd-features", "record-rank", "swapped-dims"])
+def test_corrupt_container_raises_format_error(saved, corrupt, match):
     _, path = saved("mamba")
     path.write_bytes(corrupt(path.read_bytes()))
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=match):
         load_params(path)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"features": 7}, "features must be even"),
+    ({"memory_kind": "lstm"}, r"memory_kind must be one of \('mamba', 'causalconv'\)"),
+])
+def test_config_rejects_an_odd_feature_count_and_an_unknown_memory_kind(kw, match):
+    with pytest.raises(ContractError, match=match):
+        DpsrConfig(bands=4, **kw)
 
 
 @pytest.mark.parametrize("kind", MEMORY_KINDS)
@@ -166,6 +185,41 @@ def test_infinite_latent_names_block_and_line(block, value):
     _, state = dpsr_step(cube[1], params, state)
     state.mem[block].h[2, 1, 3] = value
     with pytest.raises(NumericError, match=rf"CLFF block {block} at line 2"):
+        dpsr_step(cube[2], params, state)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_causal_conv_output_names_block_and_line(block, value):
+    params = DpsrParams.init(small_config("causalconv"), seed=0)
+    cube = np.random.default_rng(4).random((3, 5, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[0], params, None)
+    _, state = dpsr_step(cube[1], params, state)
+    state.mem[block].conv_tail[-1, 2, 3] = value
+    with pytest.raises(NumericError,
+                       match=rf"^non-finite causal-conv output in CLFF block {block} at line 2$"):
+        dpsr_step(cube[2], params, state)
+
+
+def test_overflowing_causal_conv_weights_name_the_block_that_goes_non_finite():
+    # block 0's output stays finite (about 1e37); block 1's memory block turns it to NaN
+    params = DpsrParams.init(small_config("causalconv"), seed=0)
+    params.clff[0][1].out_w.data[:] = 3e38
+    cube = np.random.default_rng(5).random((3, 5, 4)).astype(np.float32)
+    with pytest.raises(NumericError,
+                       match=r"^non-finite causal-conv output in CLFF block 1 at line 0$"):
+        dpsr_step(cube, params, None)
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_an_upsampler_that_overflows_names_the_line(kind):
+    # every block's output is finite; the finite upsampler weights overflow float32
+    params = DpsrParams.init(small_config(kind), seed=0)
+    cube = np.random.default_rng(5).random((3, 5, 4)).astype(np.float32)
+    _, state = dpsr_step(cube[:2], params, None)
+    params.upsampler.expand_w.data[:] = 3e38
+    params.upsampler.restore_w.data[:] = 3e38
+    with pytest.raises(NumericError, match="^non-finite output at line 2$"):
         dpsr_step(cube[2], params, state)
 
 

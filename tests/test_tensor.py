@@ -179,6 +179,17 @@ def test_depthwise_shape_error():
         T.depthwise_conv1d(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_depthwise_even_kernel_rejected():
+    with pytest.raises(ContractError, match="^depthwise_conv1d kernel size must be odd, got 2$"):
+        T.depthwise_conv1d(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))))
+
+
+def test_causal_conv_channel_mismatch_rejected():
+    with pytest.raises(ShapeError, match="^causal conv: 3 channels vs 2 kernels$"):
+        T.causal_depthwise_conv(Tensor(np.zeros((4, 2, 3))), np.zeros((1, 2, 3)),
+                                Tensor(np.zeros((2, 2))))
+
+
 def test_causal_conv_matches_explicit_sum():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 2, 3))
@@ -258,6 +269,12 @@ def test_layer_norm_gamma_annihilation():
     assert np.allclose(out.data, 0.75)
 
 
+@pytest.mark.parametrize("gamma, beta", [(3, 4), (4, 3)], ids=["gamma", "beta"])
+def test_layer_norm_rejects_gamma_or_beta_off_the_feature_axis(gamma, beta):
+    with pytest.raises(ShapeError, match="^layer_norm: gamma/beta must match the feature axis$"):
+        T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(gamma)), Tensor(np.zeros(beta)))
+
+
 def test_silu_values():
     assert T.silu(Tensor([0.0])).data[0] == 0.0
     assert np.isclose(T.silu(Tensor([1.0])).data[0], 0.731059, atol=1e-5)
@@ -310,12 +327,13 @@ def test_linear_shape_error():
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
 
-def test_split_half():
-    a, b = T.split_half(Tensor([[1.0, 2.0, 3.0, 4.0]]))
-    assert np.allclose(a.data, [[1.0, 2.0]])
-    assert np.allclose(b.data, [[3.0, 4.0]])
-    with pytest.raises(ShapeError):
-        T.split_half(Tensor(np.zeros((2, 3))))
+def test_gate():
+    assert np.array_equal(T.gate(Tensor([[1.0, 2.0, 3.0, 4.0]])).data, [[3.0, 8.0]])
+    with pytest.raises(ShapeError, match="even channel count, got 3"):
+        T.gate(Tensor(np.zeros((2, 3))))
+    x = t64(np.random.default_rng(12).standard_normal((3, 2, 6)))
+    w = np.random.default_rng(13).standard_normal((3, 2, 3))
+    assert grad_check(lambda: T.reduce_sum(T.mul(T.gate(x), w)), [x]) < 1e-6
 
 
 def test_mean_pool_constant():

@@ -123,6 +123,29 @@ def test_a_non_finite_gradient_leaves_parameters_and_optimizer_untouched():
         assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
 
+@pytest.mark.parametrize("pred, target, match", [
+    (np.zeros((0, 4, 2)), np.zeros((0, 4, 2)), "^loss on empty tensors$"),
+    (np.zeros((2, 4, 3)), np.zeros((2, 4, 2)),
+     r"^loss: pred \(2, 4, 3\) vs target \(2, 4, 2\)$"),
+], ids=["empty", "shape"])
+def test_loss_terms_rejects_an_empty_or_mismatched_pair(pred, target, match):
+    with pytest.raises(ContractError, match=match):
+        train.loss_terms(Tensor(pred), target, ALPHA_S, ALPHA_G)
+
+
+def test_fit_names_the_step_whose_loss_overflows(monkeypatch):
+    # a finite 3e38 prediction: the float32 L1 mean overflows to inf under fit's errstate
+    def huge(lr, params):
+        rows, width, bands = lr.shape
+        return Tensor(np.full(((rows - 1) * 4, 4 * width, bands), 3e38, np.float32))
+
+    monkeypatch.setattr(train, "dpsr_forward_image", huge)
+    cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
+    tc = train.TrainConfig(batch_size=1, max_steps=2, patch=16, seed=0)
+    with pytest.raises(NumericError, match="^training diverged at step 1$"):
+        train.fit([make_synthetic(1, 16, 16, 4)], [], cfg, tc)
+
+
 def test_fit_is_deterministic_per_seed(tmp_path):
     cfg = DpsrConfig(bands=4, features=8, up_features=4, state_size=4)
     tc = train.TrainConfig(batch_size=2, max_steps=3, patch=16, eval_every=1, seed=11)
